@@ -39,7 +39,7 @@ func runExperiment(b *testing.B, id string) {
 	}
 }
 
-// One benchmark per paper artefact (DESIGN.md §5).
+// One benchmark per paper artefact (the index is experiments.All).
 
 // BenchmarkF1Chordal regenerates Figure 2.2.1 (chordal SoD example).
 func BenchmarkF1Chordal(b *testing.B) { runExperiment(b, "F1") }

@@ -1,6 +1,6 @@
 // Command benchtab regenerates the paper-reproduction tables: one per
-// figure and complexity claim of the evaluation (see DESIGN.md §5 and
-// EXPERIMENTS.md).
+// figure and complexity claim of the evaluation (the experiment index
+// is internal/experiments.All).
 //
 // Usage:
 //
@@ -18,9 +18,11 @@
 // comparison is hardware-independent) is matched by table title and
 // descriptor row key, and the run fails (exit 1) if any cell collapses
 // below baseline/tolerance — the CI guard against step-latency
-// regressions. Rows or tables absent from either side are skipped, so
-// a -quick run checks against a full baseline; comparing zero cells is
-// itself an error, so silent key drift cannot green-wash the gate.
+// regressions. Every selected table must have a baseline table of the
+// same title, or the run fails naming it; rows absent from either side
+// are skipped, so a -quick run checks against a full baseline.
+// Comparing zero cells is itself an error, so silent key drift cannot
+// green-wash the gate.
 package main
 
 import (
@@ -54,7 +56,6 @@ func run(args []string) error {
 		regress   = fs.String("regress", "", "baseline BENCH_*.json to compare latency columns against")
 		tolerance = fs.Float64("tolerance", 2.0, "fail when a speedup cell collapses below baseline/tolerance")
 		workers   = fs.Int("workers", 0, "extra worker count for parallel-stepper sweeps (0 = default sweep)")
-		waves     = fs.Bool("frontier-waves", false, "batched wave execution of the parallel stepper's boundary pass (T16; T17 sweeps it)")
 		reshardIm = fs.Float64("reshard-imbalance", 0, "arm work-driven resharding at this max/mean per-shard work ratio (≤1 = off)")
 		reshardIv = fs.Int64("reshard-interval", 0, "minimum steps between automatic reshards (0 = policy default)")
 	)
@@ -63,7 +64,7 @@ func run(args []string) error {
 	}
 	cfg := experiments.Config{
 		Seed: *seed, Quick: *quick, Trials: *trials, Workers: *workers,
-		FrontierWaves: *waves, ReshardImbalance: *reshardIm, ReshardMinInterval: *reshardIv,
+		ReshardImbalance: *reshardIm, ReshardMinInterval: *reshardIv,
 	}
 
 	var selected []experiments.Experiment
@@ -73,7 +74,7 @@ func run(args []string) error {
 		for _, id := range strings.Split(*expList, ",") {
 			e, ok := experiments.ByID(strings.TrimSpace(id))
 			if !ok {
-				return fmt.Errorf("unknown experiment %q (known: F1..F3, T1..T17)", id)
+				return fmt.Errorf("unknown experiment %q (known: F1..F3, T1..T15, T17)", id)
 			}
 			selected = append(selected, e)
 		}
@@ -195,7 +196,7 @@ func checkRegression(tables []*trace.Table, baseline []jsonTable, tolerance floa
 		}
 		base, ok := byTitle[got.Title]
 		if !ok {
-			continue // table not in the baseline yet
+			return fmt.Errorf("table %q has no baseline table of the same title (regenerate the baseline or deselect the experiment)", got.Title)
 		}
 		desc := descriptorCols(base.Headers)
 		baseRows := make(map[string][]string, len(base.Rows))

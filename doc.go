@@ -31,11 +31,7 @@
 //     daemon (central, round-robin, deterministic) selects in O(log n)
 //     queries, so a step costs O(Δ·log n) end to end; enumerate-all
 //     daemons (synchronous, distributed) pay O(#enabled·log n), which
-//     is inherent to their scheduling model. Pre-EnabledSet daemons
-//     migrate mechanically: keep the old Select([]Candidate) body,
-//     satisfy program.LegacyDaemon, and wrap it with
-//     program.AdaptLegacy — executions stay bit-identical, only the
-//     Ω(#enabled) materialisation cost returns.
+//     is inherent to their scheduling model.
 //
 //   - RunUntilLegitimate consults a program.Witness when the protocol
 //     provides one: an incrementally-maintained legitimacy witness
@@ -130,7 +126,7 @@
 // history: equal (snapshot, seed, workers, policy) still replay
 // bit-identically, but a reshard changes which nodes are interior and
 // therefore the schedule from that step on. Because core counts vary
-// across machines, experiments T16/T17 report counted work/span
+// across machines, experiment T17 reports counted work/span
 // throughput — work = guard evaluations + moves; span per step = the
 // largest shard's phase-A work plus the boundary pass (whole boundary
 // work when serial, Σ of each wave's largest chunk when waved; the
@@ -309,7 +305,9 @@
 // connected nodes win orphan components instead of the bare maximum
 // id, with the same count-to-the-bound decay for stale claims.
 //
-// See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-// paper-versus-measured record. All implementation lives under internal/;
-// the runnable entry points are the programs in cmd/ and examples/.
+// cmd/benchtab regenerates every experiment table (the index is
+// internal/experiments.All), and BENCH_scheduler.json holds the
+// committed scheduler baselines CI gates. All implementation lives
+// under internal/; the runnable entry points are the programs in cmd/
+// and examples/.
 package netorient

@@ -1,20 +1,22 @@
-// Message passing: deploy the full self-stabilizing stack onto real
-// goroutines — one per processor, wake-up channels along the links,
-// the Go scheduler as the weakly-fair daemon — and watch it orient
-// the network concurrently.
+// Message passing: deploy the full self-stabilizing stack onto the
+// actor runtime — one goroutine and one bounded mailbox per processor,
+// versioned state and request messages along the links, guards fired
+// only on a provably fresh view — and watch it orient the network
+// concurrently.
 //
 //	go run ./examples/msgpassing
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
 	"time"
 
+	"netorient/internal/actor"
 	"netorient/internal/core"
 	"netorient/internal/graph"
-	"netorient/internal/msgnet"
 	"netorient/internal/spantree"
 	"netorient/internal/token"
 )
@@ -39,9 +41,12 @@ func run() error {
 		return err
 	}
 	dftno.Randomize(rand.New(rand.NewSource(11)))
-	rt := msgnet.New(dftno, 11)
+	rt, err := actor.New(dftno, actor.Config{Seed: 11})
+	if err != nil {
+		return err
+	}
 	start := time.Now()
-	if err := rt.RunUntilLegitimate(60 * time.Second); err != nil {
+	if err := rt.RunUntilLegitimate(context.Background(), 60*time.Second); err != nil {
 		return fmt.Errorf("dftno: %w", err)
 	}
 	fmt.Printf("dftno stabilized concurrently: %d moves in %v\n", rt.Moves(), time.Since(start).Round(time.Millisecond))
@@ -60,9 +65,12 @@ func run() error {
 		return err
 	}
 	stno.Randomize(rand.New(rand.NewSource(12)))
-	rt = msgnet.New(stno, 12)
+	rt, err = actor.New(stno, actor.Config{Seed: 12})
+	if err != nil {
+		return err
+	}
 	start = time.Now()
-	if err := rt.RunUntilLegitimate(60 * time.Second); err != nil {
+	if err := rt.RunUntilLegitimate(context.Background(), 60*time.Second); err != nil {
 		return fmt.Errorf("stno: %w", err)
 	}
 	fmt.Printf("stno stabilized concurrently: %d moves in %v\n", rt.Moves(), time.Since(start).Round(time.Millisecond))

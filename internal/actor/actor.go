@@ -165,7 +165,7 @@ type Runtime struct {
 	// mu is the state mutex: the protocol configuration, ver, ball,
 	// the enabled cache, the witness and the move log all live under
 	// it. The graph is only read under it too, because admin topology
-	// mutations happen while it is held.
+	// mutations (Mutate) happen while it is held.
 	mu       sync.Mutex
 	ver      []uint64
 	ball     [][]graph.NodeID // radius-R ball of each node, self excluded
@@ -462,8 +462,12 @@ func (r *Runtime) Run(ctx context.Context, pred func() bool, timeout time.Durati
 }
 
 // RunUntilLegitimate runs until the protocol's legitimacy predicate
-// holds, O(1) per check off the armed witness.
+// holds, O(1) per check off the armed witness. A protocol without a
+// legitimacy predicate is an error, returned before anything starts.
 func (r *Runtime) RunUntilLegitimate(ctx context.Context, timeout time.Duration) error {
+	if r.leg == nil {
+		return fmt.Errorf("actor: protocol %q has no legitimacy predicate", r.proto.Name())
+	}
 	return r.Run(ctx, r.legitimateLocked, timeout)
 }
 
@@ -815,14 +819,23 @@ func (r *Runtime) CorruptNode(v graph.NodeID) error {
 	return nil
 }
 
-// ApplyDelta incorporates one topology mutation already applied to the
-// protocol's graph: protocol hook, array growth, ball and link
-// reconciliation, conservative witness re-arm and enabled rescan, and
-// a global version bump so every node resynchronizes its view.
-// Topology mutations are admin-rate events; this is deliberately the
+// Mutate applies one topology mutation to the protocol's graph and
+// incorporates the delta f returns: protocol hook, array growth, ball
+// and link reconciliation, conservative witness re-arm and enabled
+// rescan, and a global version bump so every node resynchronizes its
+// view. f runs under the state mutex and the reconciliation follows
+// under the same hold, so no actor ever steps against a mutated but
+// unreconciled graph; f must not call back into the runtime. If f
+// fails, nothing is reconciled and its error is returned. Topology
+// mutations are admin-rate events; this is deliberately the
 // heavyweight safe path, and it invalidates the projection recording.
-func (r *Runtime) ApplyDelta(d graph.Delta) {
+func (r *Runtime) Mutate(f func() (graph.Delta, error)) error {
 	r.mu.Lock()
+	d, err := f()
+	if err != nil {
+		r.mu.Unlock()
+		return err
+	}
 	if ta, ok := r.proto.(program.TopologyAware); ok {
 		r.taBuf = ta.TopologyChanged(d, r.taBuf[:0])
 	}
@@ -855,4 +868,5 @@ func (r *Runtime) ApplyDelta(d graph.Delta) {
 	r.rebuildLinksLocked()
 	r.mu.Unlock()
 	r.tickAll()
+	return nil
 }

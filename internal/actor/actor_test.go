@@ -291,9 +291,10 @@ func TestCorruptNodeReconverges(t *testing.T) {
 	_ = before // convergence counting is tick-sampled; presence checked in metrics test
 }
 
-// TestApplyDeltaResync: flap an edge through the admin surface while
-// the runtime is live; the global version bump forces a resync and the
-// protocol re-converges on the new topology both times.
+// TestApplyDeltaResync: flap an edge through Mutate while the runtime
+// is live; the delta's global version bump forces a resync and the
+// protocol re-converges on the new topology both times. A mutation
+// that fails leaves the runtime untouched and returns its error.
 func TestApplyDeltaResync(t *testing.T) {
 	g := graph.Grid(4, 4)
 	p, err := spantree.NewBFSTree(g, 0)
@@ -319,29 +320,53 @@ func TestApplyDeltaResync(t *testing.T) {
 		}
 	}
 	waitFor("initial convergence")
-	var d graph.Delta
-	rt.Locked(func() {
-		var err error
-		d, err = g.RemoveEdge(0, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-	})
-	rt.ApplyDelta(d)
+	if err := rt.Mutate(func() (graph.Delta, error) { return g.RemoveEdge(0, 1) }); err != nil {
+		t.Fatal(err)
+	}
 	waitFor("convergence after edge removal")
-	rt.Locked(func() {
-		var err error
-		d, err = g.AddEdge(0, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-	})
-	rt.ApplyDelta(d)
+	if err := rt.Mutate(func() (graph.Delta, error) { return g.AddEdge(0, 1) }); err != nil {
+		t.Fatal(err)
+	}
 	waitFor("convergence after edge restore")
 	if !p.Legitimate() {
 		t.Fatal("not legitimate on restored topology")
 	}
+	movesBefore := rt.Moves()
+	if err := rt.Mutate(func() (graph.Delta, error) { return g.AddEdge(0, 1) }); err == nil {
+		t.Fatal("re-adding an existing edge succeeded")
+	}
+	if !rt.Legitimate() || rt.EnabledCount() != 0 || rt.Moves() != movesBefore {
+		t.Fatal("a failed mutation disturbed the converged runtime")
+	}
 }
+
+// TestRunUntilLegitimateRequiresPredicate: a protocol without a
+// legitimacy predicate has nothing to run until, so RunUntilLegitimate
+// must fail at once instead of spinning until its timeout.
+func TestRunUntilLegitimateRequiresPredicate(t *testing.T) {
+	o, err := spantree.NewBFSOracle(graph.Ring(3), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := New(bareProtocol{o}, Config{Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	err = rt.RunUntilLegitimate(context.Background(), 10*time.Second)
+	if err == nil || errors.Is(err, ErrTimeout) {
+		t.Fatalf("got %v, want an immediate missing-predicate error", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("returned after %v, want at once", d)
+	}
+}
+
+// bareProtocol hides program.Legitimacy: the wrong-signature method
+// shadows the embedded predicate.
+type bareProtocol struct{ *spantree.Oracle }
+
+func (bareProtocol) Legitimate() {}
 
 // TestMetricsAccounting: counters move, conservation holds between
 // sent and its disposition counters, and the convergence counter
@@ -422,15 +447,9 @@ func TestNoGoroutineLeaks(t *testing.T) {
 	if err := rt.Start(); err != nil {
 		t.Fatal(err)
 	}
-	var d graph.Delta
-	rt.Locked(func() {
-		var err error
-		d, err = rt.Protocol().Graph().RemoveEdge(0, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-	})
-	rt.ApplyDelta(d)
+	if err := rt.Mutate(func() (graph.Delta, error) { return rt.Protocol().Graph().RemoveEdge(0, 1) }); err != nil {
+		t.Fatal(err)
+	}
 	rt.Stop()
 
 	deadline := time.Now().Add(5 * time.Second)

@@ -70,9 +70,9 @@ func TestSTNOConvergesUnderAdversarialDaemons(t *testing.T) {
 }
 
 // TestSTNOComposedNeedsFairComposition documents the composition
-// counterpart of the fairness finding (see fairness_test.go and
-// DESIGN.md §4): the paper composes STNO with its tree protocol under
-// *fair composition* — both layers keep executing. A daemon that
+// counterpart of the fairness finding (see fairness_test.go): the
+// paper composes STNO with its tree protocol under *fair composition*
+// — both layers keep executing. A daemon that
 // always serves a node's orientation actions and never its substrate
 // action keeps processor-level fairness (the node moves constantly)
 // yet can preserve a corrupted parent-pointer cycle forever, with the

@@ -11,11 +11,11 @@ import (
 )
 
 // TestDFTNOEdgeLabelNeedsStrongFairness pins down a reproduction
-// finding the model checker surfaced (documented in DESIGN.md §4 and
-// EXPERIMENTS.md): DFTNO's edge-labeling rule is guarded by
-// ¬Forward ∧ ¬Backtrack, so a node can only fix its labels while it
-// does NOT hold the token — yet the node moves every round anyway
-// (its token actions), satisfying processor-level *weak* fairness.
+// finding the model checker surfaced: DFTNO's edge-labeling rule is
+// guarded by ¬Forward ∧ ¬Backtrack, so a node can only fix its
+// labels while it does NOT hold the token — yet the node moves every
+// round anyway (its token actions), satisfying processor-level *weak*
+// fairness.
 // An adversarial weakly-fair daemon can therefore select the node
 // only at token-holding moments and starve the edge-label move
 // forever. Under *strong* fairness (a move enabled infinitely often

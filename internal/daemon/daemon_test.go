@@ -148,30 +148,6 @@ func TestAdversarialDelegates(t *testing.T) {
 	}
 }
 
-// TestLegacyAdapterPreservesSelection pins the migration path: an
-// old-contract daemon wrapped with program.AdaptLegacy sees the same
-// candidate list the pre-EnabledSet runner would have handed it.
-func TestLegacyAdapterPreservesSelection(t *testing.T) {
-	legacy := legacyPickSecond{}
-	d := program.AdaptLegacy(legacy)
-	if d.Name() != "pick-second" {
-		t.Errorf("adapter name %q", d.Name())
-	}
-	mv := d.Select(candidates(3, 7, 9))[0]
-	if mv.Node != 7 || mv.Action != 1 {
-		t.Fatalf("adapted daemon picked node %d action %d, want node 7 action 1", mv.Node, mv.Action)
-	}
-}
-
-// legacyPickSecond is an old-contract daemon used to test AdaptLegacy.
-type legacyPickSecond struct{}
-
-func (legacyPickSecond) Name() string { return "pick-second" }
-func (legacyPickSecond) Select(cands []program.Candidate) []program.Move {
-	c := cands[1]
-	return []program.Move{{Node: c.Node, Action: c.Actions[1]}}
-}
-
 func TestDaemonNames(t *testing.T) {
 	names := map[string]program.Daemon{
 		"central":       NewCentral(1),

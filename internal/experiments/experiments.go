@@ -1,6 +1,6 @@
 // Package experiments implements the paper-reproduction harness: one
 // runner per figure and complexity claim of the evaluation (the
-// experiment index of DESIGN.md §5). Each runner returns a plain-text
+// experiment index is All). Each runner returns a plain-text
 // table with the rows the paper's artefact corresponds to; cmd/benchtab
 // regenerates all of them and bench_test.go wraps each in a
 // testing.B benchmark.
@@ -27,12 +27,8 @@ type Config struct {
 	// Trials overrides the per-point repetition count (0 = default).
 	Trials int
 	// Workers adds a worker count to experiments that sweep the
-	// sharded parallel stepper (T16/T17); 0 keeps the default sweep.
+	// sharded parallel stepper (T17); 0 keeps the default sweep.
 	Workers int
-	// FrontierWaves turns on batched wave execution of the boundary
-	// pass for experiments that build the parallel stepper with a
-	// single mode (T16); T17 sweeps waves on its own rows regardless.
-	FrontierWaves bool
 	// ReshardImbalance and ReshardMinInterval arm the work-driven
 	// resharding policy on the parallel-stepper experiments
 	// (program.ReshardPolicy); an imbalance ≤ 1 leaves it off.
@@ -87,7 +83,6 @@ func All() []Experiment {
 		{"T13", "dynamic topology — localized ApplyDelta invalidation and churn recovery", T13Churn},
 		{"T14", "partition tolerance — per-component convergence while split, heal-time merge vs partition count", T14PartitionHeal},
 		{"T15", "root failover — disconnection detection latency and acting-root re-anchoring vs orphan size", T15Failover},
-		{"T16", "scheduler — sharded parallel stepper counted throughput vs worker count at n=2^20", T16ParallelStepper},
 		{"T17", "scheduler — batched frontier waves + work-driven resharding: counted speedup and phase-B span vs the serialized boundary pass", T17FrontierWaves},
 	}
 }

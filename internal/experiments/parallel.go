@@ -10,124 +10,42 @@ import (
 	"netorient/internal/trace"
 )
 
-// T16ParallelStepper measures the sharded parallel stepper's
-// distributed-daemon throughput against its own single-shard run at
-// n = 2²⁰: the BFS spanning tree protocol on a 1024×1024 grid,
-// relabeled by BFS discovery order (graph.BFSOrder + ReorderNodes) so
-// each contiguous-id shard is a geometrically compact region and the
-// interior/frontier split stays heavily interior.
+// T17FrontierWaves measures the sharded parallel stepper's counted
+// distributed-daemon throughput against its own single-shard run, and
+// what the batched wave execution of phase B buys over the serialized
+// boundary pass, on the two topology regimes that matter: a 1024×1024
+// grid (n = 2²⁰; thin frontier — the seam is small but strictly
+// serial) and a Barabási–Albert graph at n = 2¹⁸ (expander-like, fat
+// frontier — the serialized seam dominates the span and the speedup
+// curve collapses without waves). Both graphs are relabeled by BFS
+// discovery order (graph.BFSOrder + ReorderNodes) so each
+// contiguous-id shard is a geometrically compact region.
 //
 // The machine running the table may have any number of cores — CI
 // boxes often pin GOMAXPROCS — so the table reports *counted*
 // throughput, not wall-clock: work is the total number of guard
 // evaluations plus executed moves, span is the critical path under the
 // engine's barrier structure (per step: the largest single shard's
-// phase-A work plus the serialized boundary pass). moves/span is then
-// aggregate moves per unit of critical-path time on an ideal
-// W-core machine, and "counted speedup" normalises it by the
-// one-worker run — a same-process ratio the regression gate can hold
-// across hardware. The one-worker run has an empty frontier (every
-// ball is interior to the single shard), so its span equals its work
-// and its ratio is 1 by construction.
+// phase-A work plus the boundary pass). Per graph, the sweep crosses
+// waves ∈ {off, on} × workers ∈ {1,2,4,8}. Two gated ratios come out:
+// "counted speedup" is moves per span unit normalised by the
+// (workers=1, waves=off) row of the same graph — a same-process ratio
+// the regression gate can hold across hardware; the one-worker run has
+// an empty frontier, so its span equals its work and its ratio is 1 by
+// construction — and "seam speedup" is the phase-B span of the
+// waves-off run divided by the phase-B span of the waves-on run at
+// equal worker count (1.0 on waves-off rows by definition, and
+// whenever the frontier is empty).
 //
-// Quick mode keeps n = 2²⁰ — shrinking the graph would change the row
-// keys the committed baseline is diffed against — and only lowers the
-// fixed step count.
-func T16ParallelStepper(cfg Config) (*trace.Table, error) {
-	steps := 10
-	if cfg.Quick {
-		steps = 3
-	}
-	workerSet := []int{1, 2, 4, 8}
-	if cfg.Workers > 0 {
-		found := false
-		for _, w := range workerSet {
-			if w == cfg.Workers {
-				found = true
-			}
-		}
-		if !found {
-			workerSet = append(workerSet, cfg.Workers)
-		}
-	}
-
-	base := graph.Grid(1024, 1024)
-	order, err := graph.BFSOrder(base, 0)
-	if err != nil {
-		return nil, err
-	}
-	g, inv, err := base.ReorderNodes(order)
-	if err != nil {
-		return nil, err
-	}
-	root := inv[0]
-
-	tb := trace.NewTable(
-		"T16 — sharded parallel stepper: counted distributed-daemon throughput vs worker count (BFS tree on a BFS-relabeled 1024×1024 grid, work/span accounting)",
-		"graph", "n", "workers", "steps", "moves", "frontier", "work units", "span units", "counted speedup")
-	baseline := 0.0
-	for _, w := range workerSet {
-		p, err := spantree.NewBFSTree(g, root)
-		if err != nil {
-			return nil, err
-		}
-		p.Randomize(rand.New(rand.NewSource(cfg.Seed)))
-		ps := program.NewParallelSystem(p, program.ParallelConfig{
-			Workers: w, Seed: cfg.Seed,
-			FrontierWaves: cfg.FrontierWaves, Reshard: cfg.reshardPolicy(),
-		})
-		for i := 0; i < steps; i++ {
-			n, err := ps.Step()
-			if err != nil {
-				return nil, err
-			}
-			if n == 0 {
-				return nil, fmt.Errorf("T16: terminal after %d steps at w=%d", i, w)
-			}
-		}
-		if ps.SpanUnits() == 0 {
-			return nil, fmt.Errorf("T16: zero span at w=%d", w)
-		}
-		thr := float64(ps.Moves()) / float64(ps.SpanUnits())
-		if baseline == 0 {
-			baseline = thr
-		}
-		tb.AddRow("grid:1024x1024", g.N(), w, steps,
-			ps.Moves(), ps.FrontierSize(), ps.WorkUnits(), ps.SpanUnits(), thr/baseline)
-	}
-	return tb, nil
-}
-
-// T17FrontierWaves measures what the batched wave execution of phase B
-// buys over the serialized boundary pass, on the two topology regimes
-// that matter: the BFS-relabeled 1024×1024 grid of T16 (thin frontier —
-// the seam is small but strictly serial) and a BFS-relabeled
-// Barabási–Albert graph at n = 2¹⁸ (expander-like, fat frontier — the
-// serialized seam dominates the span and the speedup curve collapses
-// without waves).
-//
-// Per graph, the sweep crosses waves ∈ {off, on} × workers ∈
-// {1,2,4,8}, same counted work/span accounting as T16. Two gated
-// ratios come out: "counted speedup" is moves per span unit normalised
-// by the (workers=1, waves=off) row of the same graph — the T16 ratio,
-// now also measured with waves — and "seam speedup" is the phase-B
-// span of the waves-off run divided by the phase-B span of the
-// waves-on run at equal worker count (1.0 on waves-off rows by
-// definition, and whenever the frontier is empty). Acceptance for this
-// PR: grid counted speedup at 8 workers with waves on strictly beats
-// the committed T16 7.2×, and the barabási seam speedup at 8 workers
-// is ≥ 2×.
-//
-// Quick mode keeps both graph sizes (shrinking them would change the
-// row keys the committed baseline is diffed against) and trims the
-// worker sweep and the step count.
+// Quick mode keeps both graph sizes and the full worker sweep
+// (shrinking either would change or drop the row keys the committed
+// baseline is diffed against) and only lowers the grid's step count.
 func T17FrontierWaves(cfg Config) (*trace.Table, error) {
 	steps := 10
-	workerSet := []int{1, 2, 4, 8}
 	if cfg.Quick {
 		steps = 3
-		workerSet = []int{1, 8}
 	}
+	workerSet := []int{1, 2, 4, 8}
 	if cfg.Workers > 0 {
 		found := false
 		for _, w := range workerSet {

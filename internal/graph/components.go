@@ -70,11 +70,11 @@ func (g *Graph) CompVersion() uint64 {
 	return g.compVer
 }
 
-// ensureComp initialises the component labelling from scratch.
-func (g *Graph) ensureComp() {
-	if g.comp != nil {
-		return
-	}
+// ensureComp initialises the component labelling on first use.
+func (g *Graph) ensureComp() { g.compOnce.Do(g.buildComp) }
+
+// buildComp labels every live node's component from scratch.
+func (g *Graph) buildComp() {
 	n := g.N()
 	g.comp = make([]int32, n)
 	for v := range g.comp {

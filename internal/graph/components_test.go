@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -111,6 +112,24 @@ func TestComponentsOnBuiltGraphs(t *testing.T) {
 		t.Fatalf("triangle size %d", g2.ComponentSize(g2.ComponentOf(0)))
 	}
 	checkComponents(t, g2)
+}
+
+// TestComponentsConcurrentFirstReaders: a freshly built graph is safe
+// for concurrent readers, including the query that builds the lazy
+// labelling (run under -race).
+func TestComponentsConcurrentFirstReaders(t *testing.T) {
+	g := Grid(8, 8)
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func(v NodeID) {
+			defer wg.Done()
+			if g.ComponentOf(v) != g.ComponentOf(0) || g.Components() != 1 {
+				t.Error("grid labelled as more than one component")
+			}
+		}(NodeID(i))
+	}
+	wg.Wait()
 }
 
 // TestComponentSplitAndMerge pins the delta reporting: cutting the

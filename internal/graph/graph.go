@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // NodeID identifies a processor. Valid IDs are 0..N()-1.
@@ -42,8 +43,10 @@ type Graph struct {
 	liveEpoch []uint64 // nil ⇒ no liveness flip ever; per-node flip counter
 
 	// Incremental connected-component tracking (components.go). comp is
-	// nil until the first query or mutation initialises it; from then on
+	// nil until the first query or mutation initialises it under
+	// compOnce, so concurrent first readers do not race; from then on
 	// it is maintained across every mutation.
+	compOnce sync.Once
 	comp     []int32 // component label per node; -1 for dead nodes
 	compSize []int   // live size per label (stale entries for freed labels)
 	compFree []int32 // freed labels available for reuse

@@ -105,6 +105,9 @@ type Status struct {
 	ActingRoots []int  `json:"acting_roots"`
 	Clients     int64  `json:"clients"`
 	UptimeMS    int64  `json:"uptime_ms"`
+	// Error is the step error that stopped the engine, if any: a
+	// service reporting one no longer stabilizes.
+	Error string `json:"error,omitempty"`
 }
 
 // Component is one entry of the "legitimacy" verb payload.
@@ -166,8 +169,8 @@ type Metrics struct {
 }
 
 // engine abstracts the execution runtime underneath the service: the
-// message-passing actor runtime (Config.Workers == 0) or the sharded
-// parallel stepper (Workers ≥ 1). Both keep stabilizing in the
+// message-passing *actor.Runtime (Config.Workers == 0) or the sharded
+// parallel stepper's host (Workers ≥ 1). Both keep stabilizing in the
 // background while admin verbs read a consistent view via Locked.
 type engine interface {
 	Start() error
@@ -183,24 +186,6 @@ type engine interface {
 	// observe the mutated graph before the engine's caches are
 	// reconciled.
 	Mutate(f func() (graph.Delta, error)) error
-}
-
-// actorEngine adapts actor.Runtime to the engine interface.
-type actorEngine struct{ *actor.Runtime }
-
-func (a actorEngine) Mutate(f func() (graph.Delta, error)) error {
-	var d graph.Delta
-	var err error
-	// The actor runtime tolerates the window between the mutation and
-	// ApplyDelta: actors step against versioned ball caches and the
-	// delta bumps every version, so stale reads are re-requested —
-	// the same self-stabilizing recovery the protocol runs on.
-	a.Locked(func() { d, err = f() })
-	if err != nil {
-		return err
-	}
-	a.ApplyDelta(d)
-	return nil
 }
 
 // stepperHost drives a ParallelSystem as a long-running engine: a
@@ -352,7 +337,6 @@ type Server struct {
 	g   *graph.Graph
 	fp  *failover.Protocol
 	eng engine
-	rt  *actor.Runtime // nil when Workers ≥ 1 (parallel stepper)
 	ln  net.Listener
 
 	adminMu  sync.Mutex // serializes graph-mutating verbs
@@ -418,7 +402,6 @@ func New(cfg Config) (*Server, error) {
 		fp.WeightElection(cfg.Pins)
 	}
 	var eng engine
-	var rt *actor.Runtime
 	if cfg.Workers >= 1 {
 		ps := program.NewParallelSystem(fp, program.ParallelConfig{
 			Workers:       cfg.Workers,
@@ -436,11 +419,9 @@ func New(cfg Config) (*Server, error) {
 	} else {
 		acfg := cfg.Actor
 		acfg.Seed = cfg.Seed
-		rt, err = actor.New(fp, acfg)
-		if err != nil {
+		if eng, err = actor.New(fp, acfg); err != nil {
 			return nil, err
 		}
-		eng = actorEngine{rt}
 	}
 	network, addr, ok := strings.Cut(cfg.Listen, ":")
 	if !ok || (network != "unix" && network != "tcp") {
@@ -455,7 +436,6 @@ func New(cfg Config) (*Server, error) {
 		g:      g,
 		fp:     fp,
 		eng:    eng,
-		rt:     rt,
 		ln:     ln,
 		start:  time.Now(),
 		closed: make(chan struct{}),
@@ -464,11 +444,6 @@ func New(cfg Config) (*Server, error) {
 
 // Addr returns the admin socket address (useful with tcp:...:0).
 func (s *Server) Addr() net.Addr { return s.ln.Addr() }
-
-// Runtime exposes the underlying actor runtime (tests, embedding).
-// It is nil when the service runs on the parallel stepper
-// (Config.Workers ≥ 1).
-func (s *Server) Runtime() *actor.Runtime { return s.rt }
 
 // Close stops accepting, wakes Serve, and shuts the runtime down.
 // Safe to call more than once and concurrently with Serve.
@@ -577,11 +552,11 @@ func (s *Server) dispatch(req Request) Response {
 			Requests: s.requests.Load(),
 			Clients:  s.clients.Load(),
 		}
-		if s.rt != nil {
-			m.Metrics = s.rt.Metrics()
-		}
-		if h, isStepper := s.eng.(*stepperHost); isStepper {
-			m.Parallel = h.metrics()
+		switch e := s.eng.(type) {
+		case *actor.Runtime:
+			m.Metrics = e.Metrics()
+		case *stepperHost:
+			m.Parallel = e.metrics()
 		}
 		return ok(m)
 	case "corrupt":
@@ -658,6 +633,9 @@ func (s *Server) status() Status {
 		st.Components = s.g.Components()
 		for _, r := range s.fp.ActingRoots() {
 			st.ActingRoots = append(st.ActingRoots, int(r))
+		}
+		if h, ok := s.eng.(*stepperHost); ok && h.stepErr != nil {
+			st.Error = h.stepErr.Error()
 		}
 	})
 	return st

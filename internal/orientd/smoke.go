@@ -83,6 +83,16 @@ func (c *Client) Do(req Request, data any) error {
 // graceful shutdown — and returns the first invariant violation, or
 // nil. It is the substance behind `orientd -smoke` in CI.
 func Smoke(cfg SmokeConfig) error {
+	srv, err := New(cfg.Config)
+	if err != nil {
+		return err
+	}
+	return smoke(srv, cfg)
+}
+
+// smoke runs the Smoke scenario against a built, not yet serving
+// server.
+func smoke(srv *Server, cfg SmokeConfig) error {
 	if cfg.Clients < 8 {
 		cfg.Clients = 8
 	}
@@ -95,17 +105,29 @@ func Smoke(cfg SmokeConfig) error {
 		}
 	}
 
-	srv, err := New(cfg.Config)
-	if err != nil {
-		return err
-	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(context.Background()) }()
 	network := srv.Addr().Network()
 	addr := srv.Addr().String()
 	logf("orientd smoke: %s %s on %s %s", srv.fp.Name(), cfg.Config.GraphSpec, network, addr)
 
+	// Serve drains open connections before it returns, so a failure
+	// first stops the query clients and closes the admin connection.
+	var (
+		admin     *Client
+		stop      = make(chan struct{})
+		stopOnce  sync.Once
+		wg        sync.WaitGroup
+		stopReads = func() {
+			stopOnce.Do(func() { close(stop) })
+			wg.Wait()
+		}
+	)
 	fail := func(err error) error {
+		stopReads()
+		if admin != nil {
+			admin.Close()
+		}
 		srv.Close()
 		<-serveErr
 		return err
@@ -123,6 +145,9 @@ func Smoke(cfg SmokeConfig) error {
 			var st Status
 			if err := admin.Do(Request{Op: "status"}, &st); err != nil {
 				return fmt.Errorf("%s: %w", phase, err)
+			}
+			if st.Error != "" {
+				return fmt.Errorf("%s: engine stopped: %s", phase, st.Error)
 			}
 			if st.Legitimate {
 				logf("orientd smoke: %s: legitimate after %d moves", phase, st.Moves)
@@ -142,8 +167,6 @@ func Smoke(cfg SmokeConfig) error {
 	// Parallel query clients hammer the read verbs off the witness
 	// counters while faults land underneath.
 	var (
-		stop  = make(chan struct{})
-		wg    sync.WaitGroup
 		reads atomic.Int64
 		cerr  = make(chan error, cfg.Clients)
 	)
@@ -205,8 +228,7 @@ func Smoke(cfg SmokeConfig) error {
 		return fail(err)
 	}
 
-	close(stop)
-	wg.Wait()
+	stopReads()
 	select {
 	case err := <-cerr:
 		return fail(err)

@@ -8,8 +8,8 @@ import (
 
 // Candidate lists the enabled actions of one enabled processor. The
 // scheduler's hot path no longer materialises candidate lists (see
-// EnabledSet); the type remains as the currency of the legacy daemon
-// contract and of explicit sets built for tests (CandidateSet).
+// EnabledSet); the type remains as the currency of the full-scan
+// oracle and of explicit sets built for tests (CandidateSet).
 type Candidate struct {
 	Node    graph.NodeID
 	Actions []ActionID
@@ -36,10 +36,9 @@ type Candidate struct {
 // Fenwick index) for random ranks, and amortized O(1+gap) for
 // ascending sequential ranks (the runner memoises the last answer and
 // scans for its successor). A sampling daemon (pick one of Len()
-// processors) therefore costs O(log n) per step instead of the
-// Ω(#enabled) slice handed to the legacy contract; an
-// enumerate-everything daemon pays O(n + #enabled), matching the old
-// materialised slice.
+// processors) therefore costs O(log n) per step instead of an
+// Ω(#enabled) materialised candidate slice; an enumerate-everything
+// daemon pays O(n + #enabled), matching such a slice.
 //
 // The view is only valid for the duration of the Select call that
 // received it: the runner mutates the underlying caches as soon as the
@@ -61,63 +60,6 @@ type EnabledSet interface {
 type Daemon interface {
 	Name() string
 	Select(set EnabledSet) []Move
-}
-
-// LegacyDaemon is the pre-EnabledSet daemon contract: Select receives
-// every enabled processor with its enabled actions as a materialised
-// slice, in ascending node order. It survives as a migration aid —
-// wrap implementations with AdaptLegacy — and as the shape of the
-// differential tests that pin the new daemons to the old behaviour.
-// Materialising the slice costs Ω(#enabled) per step, which is exactly
-// the overhead the EnabledSet contract removes; new daemons should
-// implement Daemon directly.
-type LegacyDaemon interface {
-	Name() string
-	Select(cands []Candidate) []Move
-}
-
-// legacyAdapter materialises an EnabledSet into the candidate slice a
-// LegacyDaemon expects. Buffers are reused across steps, so adapting
-// adds no steady-state allocations — only the Ω(#enabled) walk.
-type legacyAdapter struct {
-	d     LegacyDaemon
-	cands []Candidate
-	nodes []graph.NodeID
-	arena []ActionID
-	spans []int // arena offsets; spans[i]..spans[i+1] is candidate i's slice
-}
-
-// AdaptLegacy wraps a LegacyDaemon as a Daemon. The wrapped daemon
-// sees bit-identical candidate lists to the pre-EnabledSet runner, so
-// seeded executions are preserved exactly.
-func AdaptLegacy(d LegacyDaemon) Daemon { return &legacyAdapter{d: d} }
-
-// Name implements Daemon.
-func (a *legacyAdapter) Name() string { return a.d.Name() }
-
-// Select implements Daemon.
-func (a *legacyAdapter) Select(set EnabledSet) []Move {
-	n := set.Len()
-	a.spans = a.spans[:0]
-	a.nodes = a.nodes[:0]
-	a.arena = a.arena[:0]
-	// One ascending pass over the set (At then Actions per rank hits
-	// the runner's sequential fast path); nodes and spans are recorded
-	// now, the arena sliced only after it has stopped growing —
-	// appends may reallocate, which would invalidate eagerly-taken
-	// sub-slices.
-	for i := 0; i < n; i++ {
-		a.nodes = append(a.nodes, set.At(i))
-		a.spans = append(a.spans, len(a.arena))
-		a.arena = set.Actions(i, a.arena)
-	}
-	a.spans = append(a.spans, len(a.arena))
-	a.cands = a.cands[:0]
-	for i := 0; i < n; i++ {
-		lo, hi := a.spans[i], a.spans[i+1]
-		a.cands = append(a.cands, Candidate{Node: a.nodes[i], Actions: a.arena[lo:hi:hi]})
-	}
-	return a.d.Select(a.cands)
 }
 
 // CandidateSet wraps an explicit candidate list as an EnabledSet. The

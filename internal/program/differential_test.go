@@ -198,11 +198,33 @@ func TestSchedulerEquivalenceAcrossInvalidate(t *testing.T) {
 
 // Legacy daemons: verbatim re-implementations of the pre-EnabledSet
 // schedulers over materialised candidate slices, wrapped with
-// program.AdaptLegacy. TestDaemonEquivalenceAcrossAPI locksteps them
-// against the sampling daemons and asserts bit-identical executions,
-// pinning both halves of the API migration: the new daemons consume
+// legacyAdapter. TestDaemonEquivalenceAcrossAPI locksteps them against
+// the sampling daemons and asserts bit-identical executions, pinning
+// both halves of the API migration: the new daemons consume
 // randomness exactly as the old ones did, and the adapter reproduces
 // the old candidate lists exactly.
+
+// legacyDaemon is the pre-EnabledSet daemon contract: Select receives
+// every enabled processor with its enabled actions as a materialised
+// slice, in ascending node order.
+type legacyDaemon interface {
+	Name() string
+	Select(cands []program.Candidate) []program.Move
+}
+
+// legacyAdapter materialises an EnabledSet into the candidate slice a
+// legacyDaemon expects.
+type legacyAdapter struct{ d legacyDaemon }
+
+func (a legacyAdapter) Name() string { return a.d.Name() }
+
+func (a legacyAdapter) Select(set program.EnabledSet) []program.Move {
+	cands := make([]program.Candidate, set.Len())
+	for i := range cands {
+		cands[i] = program.Candidate{Node: set.At(i), Actions: set.Actions(i, nil)}
+	}
+	return a.d.Select(cands)
+}
 
 type legacyCentral struct {
 	rng *rand.Rand
@@ -306,19 +328,19 @@ func (d *legacyDeterministic) Select(cands []program.Candidate) []program.Move {
 func legacyDiffDaemons(seed int64) map[string]func() (program.Daemon, program.Daemon) {
 	return map[string]func() (program.Daemon, program.Daemon){
 		"central": func() (program.Daemon, program.Daemon) {
-			return daemon.NewCentral(seed), program.AdaptLegacy(&legacyCentral{rng: rand.New(rand.NewSource(seed))})
+			return daemon.NewCentral(seed), legacyAdapter{&legacyCentral{rng: rand.New(rand.NewSource(seed))}}
 		},
 		"synchronous": func() (program.Daemon, program.Daemon) {
-			return daemon.NewSynchronous(seed), program.AdaptLegacy(&legacySynchronous{rng: rand.New(rand.NewSource(seed))})
+			return daemon.NewSynchronous(seed), legacyAdapter{&legacySynchronous{rng: rand.New(rand.NewSource(seed))}}
 		},
 		"distributed": func() (program.Daemon, program.Daemon) {
-			return daemon.NewDistributed(seed, 0.5), program.AdaptLegacy(&legacyDistributed{rng: rand.New(rand.NewSource(seed)), p: 0.5})
+			return daemon.NewDistributed(seed, 0.5), legacyAdapter{&legacyDistributed{rng: rand.New(rand.NewSource(seed)), p: 0.5}}
 		},
 		"round-robin": func() (program.Daemon, program.Daemon) {
-			return daemon.NewRoundRobin(), program.AdaptLegacy(&legacyRoundRobin{})
+			return daemon.NewRoundRobin(), legacyAdapter{&legacyRoundRobin{}}
 		},
 		"deterministic": func() (program.Daemon, program.Daemon) {
-			return daemon.NewDeterministic(), program.AdaptLegacy(&legacyDeterministic{})
+			return daemon.NewDeterministic(), legacyAdapter{&legacyDeterministic{}}
 		},
 	}
 }

@@ -93,7 +93,7 @@ import (
 // largest per-worker chunk when waves are on. (The two phases are
 // barrier-separated, so the step span is their sum, not their max.)
 // The ratio work/span is the schedule's available parallelism;
-// experiments T16/T17 report counted moves per span unit, a
+// experiment T17 reports counted moves per span unit, a
 // same-process, hardware- and core-count-independent throughput
 // measure (the committed baselines are reproducible on a single-core
 // runner).

@@ -203,6 +203,34 @@ func TestParallelWorkerCountsDiverge(t *testing.T) {
 	}
 }
 
+// TestParallelHoldsForSurvivesIdleSteps: with Activation < 1 a step
+// can activate nobody while processors stay enabled. HoldsFor must
+// keep stepping through such idle steps and end early only at a
+// terminal configuration (EnabledCount() == 0).
+func TestParallelHoldsForSurvivesIdleSteps(t *testing.T) {
+	const budget = 50
+	g, err := graph.Named("ring:6")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := protoBuilders()["bfstree"](g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(0); seed < 200; seed++ {
+		p.Randomize(rand.New(rand.NewSource(seed)))
+		ps := program.NewParallelSystem(p, program.ParallelConfig{Workers: 2, Seed: seed, Activation: 0.2})
+		ok, err := ps.HoldsFor(func() bool { return true }, budget)
+		if err != nil || !ok {
+			t.Fatalf("seed %d: HoldsFor(true) = %v, %v", seed, ok, err)
+		}
+		if ps.Steps() < budget && ps.EnabledCount() != 0 {
+			t.Fatalf("seed %d: HoldsFor ended after %d of %d steps with %d processors still enabled",
+				seed, ps.Steps(), budget, ps.EnabledCount())
+		}
+	}
+}
+
 // parallelCacheInvariant asserts the engine's enabled count equals a
 // fresh full guard scan — the dirty-set invariant, observable through
 // the public surface.

@@ -21,8 +21,10 @@ import (
 type Stepper interface {
 	// Protocol returns the protocol under execution.
 	Protocol() Protocol
-	// Step performs one engine step and reports how many moves fired;
-	// 0 with a nil error means the configuration is terminal.
+	// Step performs one engine step and reports how many moves fired.
+	// The configuration is terminal when EnabledCount() == 0, not when
+	// a step fires 0 moves: under ParallelSystem with Activation < 1 a
+	// step can activate nobody while processors stay enabled.
 	Step() (int, error)
 	// ApplyDelta incorporates one topology mutation already applied to
 	// the protocol's graph.
@@ -63,21 +65,21 @@ func (s *System) FullScan() bool { return s.fullScan }
 
 // HoldsFor verifies closure empirically on the parallel engine: it
 // steps the system extra times and reports whether the predicate held
-// after every step (checked serially between parallel steps). The
-// system must currently satisfy pred.
+// after every step (checked serially between parallel steps), ending
+// early only once the configuration is terminal. The system must
+// currently satisfy pred.
 func (ps *ParallelSystem) HoldsFor(pred func() bool, steps int64) (bool, error) {
 	if !pred() {
 		return false, nil
 	}
 	for i := int64(0); i < steps; i++ {
-		n, err := ps.Step()
-		if err != nil {
+		if _, err := ps.Step(); err != nil {
 			return false, err
 		}
 		if !pred() {
 			return false, nil
 		}
-		if n == 0 {
+		if ps.count == 0 {
 			return true, nil
 		}
 	}

@@ -7,7 +7,8 @@
 // The paper builds on Datta–Johnen–Petit–Villain (SIROCCO'98), whose
 // transition tables are not reproduced in the thesis text; Circulator
 // is this library's own self-stabilizing realisation of the same layer
-// interface (see DESIGN.md §4 for the substitution argument). Oracle is
+// interface: the orientation layer reads only that interface, so any
+// self-stabilizing realisation substitutes for the original. Oracle is
 // a correct-by-construction, non-stabilizing realisation used to test
 // the orientation layer in isolation, mirroring the paper's layered
 // proof structure ("after the token circulation stabilizes…").

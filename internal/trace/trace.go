@@ -1,6 +1,6 @@
 // Package trace provides the measurement plumbing of the benchmark
 // harness: summary statistics over repeated trials and plain-text
-// tables matching the rows the experiment index (DESIGN.md §5)
+// tables matching the rows each experiment of internal/experiments
 // promises.
 package trace
 
