@@ -451,8 +451,129 @@ func TestNoGoroutineLeaks(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt.Stop()
+	waitNoLeak(t, before, 5*time.Second)
+}
 
-	deadline := time.Now().Add(5 * time.Second)
+// The tests below run the paper's stacks and the Run exit paths on
+// plain runtimes, outside the projection harness.
+
+// TestBFSTreeConvergesOnGoroutines: a randomized BFS tree converges on
+// the actor goroutines alone, firing at least one move.
+func TestBFSTreeConvergesOnGoroutines(t *testing.T) {
+	tr, err := spantree.NewBFSTree(graph.Grid(4, 4), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Randomize(rand.New(rand.NewSource(1)))
+	rt, err := New(tr, Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.RunUntilLegitimate(context.Background(), 60*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if !tr.Legitimate() {
+		t.Fatal("not legitimate after run")
+	}
+	if rt.Moves() == 0 {
+		t.Fatal("no moves executed")
+	}
+}
+
+// TestSTNOFullStackOnGoroutines: STNO over a BFS tree, from a random
+// configuration, ends with a valid orientation.
+func TestSTNOFullStackOnGoroutines(t *testing.T) {
+	g := graph.Grid(3, 4)
+	sub, err := spantree.NewBFSTree(g, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := core.NewSTNO(g, sub, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Randomize(rand.New(rand.NewSource(2)))
+	rt, err := New(s, Config{Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.RunUntilLegitimate(context.Background(), 60*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Labeling().Validate(g); err != nil {
+		t.Fatalf("orientation invalid after goroutine run: %v", err)
+	}
+}
+
+// TestDFTNOFullStackOnGoroutines: DFTNO over the token circulator,
+// from a random configuration, ends with a valid orientation.
+func TestDFTNOFullStackOnGoroutines(t *testing.T) {
+	g := graph.Ring(8)
+	sub, err := token.NewCirculator(g, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := core.NewDFTNO(g, sub, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Randomize(rand.New(rand.NewSource(3)))
+	rt, err := New(d, Config{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.RunUntilLegitimate(context.Background(), 60*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Labeling().Validate(g); err != nil {
+		t.Fatalf("orientation invalid after goroutine run: %v", err)
+	}
+}
+
+// TestRunTimesOutOnUnsatisfiablePredicate: on clean links, a predicate
+// that never holds ends in ErrTimeout.
+func TestRunTimesOutOnUnsatisfiablePredicate(t *testing.T) {
+	tr, err := spantree.NewBFSTree(graph.Ring(4), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := New(tr, Config{Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = rt.Run(context.Background(), func() bool { return false }, 50*time.Millisecond)
+	if !errors.Is(err, ErrTimeout) {
+		t.Fatalf("got %v, want ErrTimeout", err)
+	}
+}
+
+// TestRunTimesOutAfterMoves: on clean links the deadline lands while
+// the actors are executing moves; Run returns ErrTimeout with moves
+// already fired.
+func TestRunTimesOutAfterMoves(t *testing.T) {
+	tr, err := spantree.NewBFSTree(graph.Grid(12, 12), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Randomize(rand.New(rand.NewSource(17)))
+	rt, err := New(tr, Config{Seed: 17})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = rt.Run(context.Background(), func() bool { return false }, 100*time.Millisecond)
+	if !errors.Is(err, ErrTimeout) {
+		t.Fatalf("got %v, want ErrTimeout", err)
+	}
+	if rt.Moves() == 0 {
+		t.Fatal("timed out before any move: deadline did not land mid-delivery")
+	}
+}
+
+// waitNoLeak fails t unless the goroutine count falls back to before
+// within the grace period.
+func waitNoLeak(t *testing.T, before int, grace time.Duration) {
+	t.Helper()
+	deadline := time.Now().Add(grace)
 	for time.Now().Before(deadline) {
 		if runtime.NumGoroutine() <= before {
 			return
@@ -460,4 +581,58 @@ func TestNoGoroutineLeaks(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
+}
+
+// TestRunLeavesNoGoroutines: two runtimes over one protocol, one run to
+// legitimacy and one to its timeout, leave no goroutine behind.
+func TestRunLeavesNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	tr, err := spantree.NewBFSTree(graph.Grid(4, 4), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := New(tr, Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.RunUntilLegitimate(context.Background(), 60*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	rt2, err := New(tr, Config{Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt2.Run(context.Background(), func() bool { return false }, 20*time.Millisecond); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("got %v, want ErrTimeout", err)
+	}
+	waitNoLeak(t, before, 2*time.Second)
+}
+
+// TestLifecycleExitPathsLeaveNoGoroutines: a timeout while a randomized
+// 8×8 grid is still moving, and a pre-cancelled context, leave no
+// goroutine behind.
+func TestLifecycleExitPathsLeaveNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	tr, err := spantree.NewBFSTree(graph.Grid(8, 8), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Randomize(rand.New(rand.NewSource(23)))
+	rt, err := New(tr, Config{Seed: 23})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Run(context.Background(), func() bool { return false }, 10*time.Millisecond); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("got %v, want ErrTimeout", err)
+	}
+	rt2, err := New(tr, Config{Seed: 29})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := rt2.Run(ctx, func() bool { return false }, 10*time.Second); !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %v, want context.Canceled", err)
+	}
+	waitNoLeak(t, before, 5*time.Second)
 }

@@ -226,6 +226,34 @@ func (a legacyAdapter) Select(set program.EnabledSet) []program.Move {
 	return a.d.Select(cands)
 }
 
+// TestLegacyAdapterPreservesSelection pins the adapter on its own: a
+// legacyDaemon wrapped in legacyAdapter keeps its name and sees the
+// same candidate list the pre-EnabledSet runner would have handed it.
+func TestLegacyAdapterPreservesSelection(t *testing.T) {
+	var d program.Daemon = legacyAdapter{legacyPickSecond{}}
+	if d.Name() != "pick-second" {
+		t.Errorf("adapter name %q", d.Name())
+	}
+	set := program.CandidateSet{
+		{Node: 3, Actions: []program.ActionID{0, 1}},
+		{Node: 7, Actions: []program.ActionID{0, 1}},
+		{Node: 9, Actions: []program.ActionID{0, 1}},
+	}
+	mv := d.Select(set)[0]
+	if mv.Node != 7 || mv.Action != 1 {
+		t.Fatalf("adapted daemon picked node %d action %d, want node 7 action 1", mv.Node, mv.Action)
+	}
+}
+
+// legacyPickSecond picks the second action of the second candidate.
+type legacyPickSecond struct{}
+
+func (legacyPickSecond) Name() string { return "pick-second" }
+func (legacyPickSecond) Select(cands []program.Candidate) []program.Move {
+	c := cands[1]
+	return []program.Move{{Node: c.Node, Action: c.Actions[1]}}
+}
+
 type legacyCentral struct {
 	rng *rand.Rand
 	buf []program.Move
