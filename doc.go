@@ -77,15 +77,16 @@
 // no other shard reads or is influenced by a move there. Each step
 // runs two phases: phase A fires interior nodes concurrently, one
 // goroutine per shard, each with its own seeded RNG and eager in-shard
-// guard-cache repair; phase B executes the frontier (non-interior
-// nodes) in ascending order — serially by default, or in batched
-// concurrent *waves* under ParallelConfig.FrontierWaves. A wave is a
-// color class of the greedy distance-2R coloring of the frontier
-// conflict graph (graph.ConflictAdjacency: two frontier nodes
-// conflict iff their graph distance is ≤ 2R, i.e. exactly when their
-// radius-R balls can intersect), so moves within one wave have
-// pairwise-disjoint balls and commute — the same disjoint-ball
-// simultaneity the paper's distributed daemon permits. Activation and
+// guard-cache repair; phase B fires the frontier (non-interior nodes)
+// wave by wave, where a wave is a set of frontier nodes with
+// pairwise-disjoint radius-R balls — the simultaneity the paper's
+// distributed daemon permits. By default every wave is a single
+// frontier node in ascending order, so phase B is a serialized sweep;
+// under ParallelConfig.FrontierWaves a wave is a color class of the
+// greedy distance-2R coloring of the frontier conflict graph
+// (graph.ConflictAdjacency: two frontier nodes conflict iff their
+// graph distance is ≤ 2R, i.e. exactly when their radius-R balls can
+// intersect), fired concurrently across the pool. Activation and
 // action draws for a wave are made serially in ascending member order
 // before the wave fans out, so the trace stays the canonical
 // serialization — shard 0's moves, then shard 1's, …, then wave 0
@@ -98,10 +99,10 @@
 // membership; farther away it skips both — the FrontierRebuilds /
 // WaveRebuilds / ReclassSkips counters prove which tier fired).
 // Ownership is enforced, not assumed: a move whose influence escapes
-// its shard (serial mode) or its declared radius-R ball (wave mode)
-// is reported as an under-declared radius, and workers never write
-// another shard's cache entries, so the suite runs -race-clean at any
-// GOMAXPROCS (CI runs the matrix at 2 and 8).
+// its shard (phase A) or its declared radius-R ball (multi-node
+// waves) is reported as an under-declared radius, and workers never
+// write another shard's cache entries, so the suite runs -race-clean
+// at any GOMAXPROCS (CI runs the matrix at 2 and 8).
 //
 // Determinism holds per (seed, worker count): per-shard RNG streams
 // are split from the configured seed, and the batch merge order is

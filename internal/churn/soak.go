@@ -226,7 +226,10 @@ func (r *Runner) Soak(p Failover, cfg SoakConfig) (SoakStats, error) {
 			if err != nil {
 				return err
 			}
-			if n == 0 { // quiesced while still disagreeing with truth
+			// Quiesced while still disagreeing with truth. A 0-move
+			// step alone is not terminal: under Activation < 1 it can
+			// activate nobody while processors stay enabled.
+			if n == 0 && r.Sys.EnabledCount() == 0 {
 				break
 			}
 		}

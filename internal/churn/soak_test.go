@@ -227,3 +227,40 @@ func TestSoakCorruptRate(t *testing.T) {
 		t.Fatal("no phase op records a corruption")
 	}
 }
+
+// idleOnce is a program.Stepper whose first Step fires nothing while
+// processors are enabled, as a ParallelSystem step with Activation < 1
+// can.
+type idleOnce struct {
+	program.Stepper
+	idled bool
+}
+
+func (s *idleOnce) Step() (int, error) {
+	if !s.idled && s.EnabledCount() > 0 {
+		s.idled = true
+		return 0, nil
+	}
+	return s.Stepper.Step()
+}
+
+// TestSoakSurvivesIdleStep: a 0-move step with processors still
+// enabled is not terminal, so Soak's detection loop must step through
+// it instead of reporting that detection never converged.
+func TestSoakSurvivesIdleStep(t *testing.T) {
+	t.Parallel()
+	g := graph.Lollipop(6, 6)
+	r, p := soakRunner(t, "bfstree", g, 7)
+	idle := &idleOnce{Stepper: r.Sys}
+	r.Sys = idle
+	st, err := r.Soak(p, churn.SoakConfig{Seed: 11, Phases: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !idle.idled {
+		t.Fatal("the soak's detection loop never stepped")
+	}
+	if !st.Ok() {
+		t.Fatalf("soak violations:\n%v", st.Violations)
+	}
+}

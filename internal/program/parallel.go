@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 
 	"netorient/internal/graph"
@@ -27,52 +28,51 @@ import (
 //     variables or have its guard influenced by a move at v: interior
 //     moves of different shards commute, and the workers execute them
 //     concurrently without locks. Every other node is *frontier* and
-//     is executed in a serialized boundary pass — cross-shard
-//     conflicts are thereby excluded by the disjointness test, not
-//     assumed away, and a protocol that under-declares its radius is
-//     caught by the ownership breach check below.
+//     is fired in phase B, after the shards — cross-shard conflicts
+//     are thereby excluded by the disjointness test, not assumed
+//     away, and a protocol that under-declares its radius is caught by
+//     the ownership breach check below.
 //   - Each parallel step is: phase A — every worker sweeps its shard
 //     in ascending id order, fires each enabled interior node (subject
 //     to the distributed daemon's seeded activation draw) and eagerly
 //     repairs the guard cache of the influenced ball, which ownership
-//     confines to its own shard; barrier; phase B — the boundary pass
-//     over the frontier. By default phase B is one goroutine sweeping
-//     the frontier in ascending global order; with
-//     ParallelConfig.FrontierWaves it becomes batched concurrent
-//     *waves* (below). The equivalent serial interleaving is
-//     canonical: shard 0's move sequence, then shard 1's, …, then the
-//     boundary moves (wave 0's ascending, wave 1's, … when waves are
-//     on). Replaying that sequence through Protocol.Execute from the
+//     confines to its own shard; barrier; phase B — the frontier,
+//     fired wave by wave. A wave is a set of frontier nodes with
+//     pairwise-disjoint radius-R balls; the paper's daemon lets such a
+//     set move simultaneously. By default every wave is one frontier
+//     node, in ascending order, fired by one worker that owns every
+//     cache slot: a serialized boundary pass. With
+//     ParallelConfig.FrontierWaves the waves are the color classes of
+//     a greedy coloring (below) and each fires across the worker pool.
+//     The equivalent serial interleaving is canonical: shard 0's move
+//     sequence, then shard 1's, …, then wave 0's ascending, wave 1's,
+//     …. Replaying that sequence through Protocol.Execute from the
 //     same initial configuration fires every move and reproduces the
 //     final configuration bit-for-bit (the differential suite checks
 //     exactly this).
-//   - Wave scheduling: the daemon model already permits simultaneous
-//     activation of any enabled set with pairwise-disjoint influence
-//     balls, so the serialized frontier sweep is pessimistic. The
-//     engine greedily colors the frontier conflict graph — two
-//     frontier nodes conflict iff their distance is ≤ 2R, the exact
-//     condition for their radius-R balls to intersect
-//     (graph.ConflictAdjacency) — and caches the color classes as
-//     waves, invalidated with the same locality discipline as the
-//     interior/frontier classification itself. Per step and wave, the
-//     activation/action draws are made serially from the boundary RNG
-//     in ascending member order, then the chosen moves are fired
-//     across the worker pool; disjoint balls make the concurrent
-//     executes and cache repairs race-free by the same symmetry
-//     argument that makes interior moves of different shards commute.
-//     A protocol that under-declares its radius is caught here too:
-//     an influence set escaping the mover's ball is a breach, never a
-//     write.
+//   - Wave scheduling: with FrontierWaves the engine greedily colors
+//     the frontier conflict graph — two frontier nodes conflict iff
+//     their distance is ≤ 2R, the exact condition for their radius-R
+//     balls to intersect (graph.ConflictAdjacency) — and caches the
+//     color classes as waves, invalidated with the same locality
+//     discipline as the interior/frontier classification itself. Per
+//     step and wave, the activation/action draws are made serially
+//     from the boundary RNG in ascending member order, then the chosen
+//     moves are fired across the worker pool; disjoint balls make the
+//     concurrent executes and cache repairs race-free by the same
+//     symmetry argument that makes interior moves of different shards
+//     commute. A protocol that under-declares its radius is caught
+//     here too: an influence set escaping the mover's ball is a
+//     breach, never a write.
 //   - Determinism: shard s draws from its own rand.Rand seeded from
-//     (Seed, s); the boundary pass has its own, consumed in the same
-//     ascending frontier order whether the execution is serial or in
-//     waves (wave order is itself a deterministic function of the
-//     topology). Same seed + same worker count + same wave setting ⇒
-//     bit-identical trace; a different worker count — or toggling
-//     waves — is a different (still legal) schedule.
+//     (Seed, s); phase B has its own, consumed in ascending member
+//     order wave after wave (wave order is itself a deterministic
+//     function of the topology). Same seed + same worker count + same
+//     wave setting ⇒ bit-identical trace; a different worker count —
+//     or toggling waves — is a different (still legal) schedule.
 //
-// Topology churn composes by quiescence: workers only exist inside
-// Step, so ApplyDelta always runs with no worker active. It repairs
+// Topology churn composes by quiescence: worker goroutines only run
+// inside Step, so ApplyDelta always runs with no worker active. It repairs
 // the guard cache locally (same contract as System.ApplyDelta, growth
 // included) and re-classifies interior/frontier membership only inside
 // the radius-R ball of the touched set; the wave schedule additionally
@@ -88,10 +88,10 @@ import (
 //
 // Work/span accounting: the engine counts one work unit per guard
 // evaluation and per executed move. The span of a step is the largest
-// per-shard phase-A count plus the phase-B critical path — the whole
-// boundary count when phase B is serial, or Σ over waves of the
-// largest per-worker chunk when waves are on. (The two phases are
-// barrier-separated, so the step span is their sum, not their max.)
+// per-shard phase-A count plus the phase-B critical path, Σ over waves
+// of the largest per-worker chunk — with single-node waves, the whole
+// boundary count. (The two phases are barrier-separated, so the step
+// span is their sum, not their max.)
 // The ratio work/span is the schedule's available parallelism;
 // experiment T17 reports counted moves per span unit, a
 // same-process, hardware- and core-count-independent throughput
@@ -112,11 +112,12 @@ type ParallelConfig struct {
 	// the serial-oracle differential suite. Off by default: a trace on
 	// a million-node run is the dominant allocation.
 	Record bool
-	// FrontierWaves executes phase B as batched concurrent waves
-	// instead of one serial sweep: the frontier is partitioned by a
-	// greedy distance-2R coloring into sets with pairwise-disjoint
-	// radius-R balls, and each wave fires across the worker pool. Off
-	// by default; see the wave-scheduling notes above.
+	// FrontierWaves batches phase B into multi-node waves: the
+	// frontier is partitioned by a greedy distance-2R coloring into
+	// sets with pairwise-disjoint radius-R balls, and each wave fires
+	// across the worker pool. Off by default, when every wave is a
+	// single frontier node and phase B is a serialized sweep; see the
+	// wave-scheduling notes above.
 	FrontierWaves bool
 	// Reshard enables work-driven dynamic resharding; the zero value
 	// keeps boundaries fixed (reshard only on explicit Reshard calls).
@@ -175,16 +176,15 @@ type ParallelSystem struct {
 	shardOf  []int32
 	interior []bool
 	frontier []graph.NodeID // ascending non-interior ids
-	shards   []*pshard
-	brng     *rand.Rand
+	pool     []*worker      // worker s sweeps shard s and fires wave chunk s
+	brng     *rand.Rand     // phase-B activation/action draws
 
 	// Wave schedule: waveSets partitions the frontier into greedy
 	// distance-2R color classes (ascending ids within each wave),
 	// cached like the interior/frontier classification and recomputed
 	// only when the frontier or the topology near it changes.
 	waveSets [][]graph.NodeID
-	waveDraw []Move   // per-wave pre-drawn (node, action) firing list
-	wwork    []*wwave // per-worker wave execution scratch
+	waveDraw []Move // per-wave pre-drawn (node, action) firing list
 
 	// Work-driven resharding state: recentA accumulates per-shard
 	// phase-A work since the last boundary move, shardWork since the
@@ -208,11 +208,12 @@ type ParallelSystem struct {
 	count   int
 	seenN   int
 
-	// Serial-phase dirty scratch (boundary pass, ApplyDelta).
-	mark     []int64
+	// Dirty stamps shared by the workers: stamp[v] == epoch while v is
+	// queued for a refresh. Ownership keeps concurrent workers' stamps
+	// disjoint.
+	stamp    []int64
 	epoch    int64
-	dirty    []graph.NodeID
-	infBuf   []graph.NodeID
+	infBuf   []graph.NodeID // ApplyDelta and isInterior scratch
 	classBuf []graph.NodeID // reclassify scratch, disjoint from infBuf
 
 	// Round bookkeeping (same definition as System's incremental mode).
@@ -227,51 +228,42 @@ type ParallelSystem struct {
 
 	work  int64 // Σ guard evals + moves, all phases
 	span  int64 // Σ per-step (max shard phase-A work + phase-B critical path)
-	spanB int64 // phase-B share of span (serial: its whole work; waves: Σ per-wave max chunk)
+	spanB int64 // phase-B share of span (Σ per-wave max chunk)
 
 	trace []Move
 }
 
-// wwave is one worker's wave-execution scratch: the frontier analogue
-// of pshard. During a wave the worker fires a contiguous chunk of the
-// wave's pre-drawn moves; ball disjointness (the wave invariant) makes
-// its cache writes disjoint from every other worker's, so the scratch
-// needs no locks — exactly the phase-A argument with "shard ownership"
-// replaced by "ball ownership".
-type wwave struct {
-	ps      *ParallelSystem
-	dirty   []graph.NodeID
-	infBuf  []graph.NodeID
-	ballBuf []graph.NodeID
-	trace   []Move
+// region names the nodes a firing worker owns: the only guard-cache
+// slots it may write. Disjoint regions are what let workers fire
+// concurrently without locks.
+type region int
 
-	work     int64 // execute attempts + refresh evals, serial-phase-B-comparable
-	moves    int64
-	countD   int
-	pendingD int
-	breach   graph.NodeID // first node influenced outside the mover's ball
-	breachBy graph.NodeID // the mover that did it
-}
+const (
+	ownShard region = iota // the worker's shard [lo,hi), in phase A
+	ownBall                // the mover's radius-R ball, in a multi-node wave
+	ownAll                 // every node: single-node waves and ApplyDelta, with no other worker active
+)
 
-// pshard is one worker's shard: a contiguous id range plus the
-// worker-private scratch that keeps phase A lock-free. All fields are
-// touched only by the owning worker during phase A and only by the
-// serial phases otherwise.
-type pshard struct {
+// worker is one member of the pool: a contiguous shard range and its
+// RNG for phase A, plus the scratch and step counters that every
+// firing shares. Its fields are touched only by the worker while it
+// runs and by the owning goroutine between runs.
+type worker struct {
 	ps     *ParallelSystem
-	id     int
 	lo, hi int
 	rng    *rand.Rand
 
 	dirty  []graph.NodeID
 	infBuf []graph.NodeID
+	ball   []graph.NodeID
 	trace  []Move
 
-	stepEvals int64
-	stepMoves int64
-	countD    int
-	pendingD  int
-	breach    graph.NodeID // first foreign node an influence set named; None if clean
+	work     int64 // guard evaluations + executed moves since the last collect
+	moves    int64
+	countD   int
+	pendingD int
+	breach   graph.NodeID // first influenced node outside the owned region; None if clean
+	breachBy graph.NodeID // the mover whose influence set named it
 }
 
 // NewParallelSystem returns a sharded parallel stepper for proto.
@@ -288,7 +280,7 @@ func NewParallelSystem(proto Protocol, cfg ParallelConfig) *ParallelSystem {
 		act = 1
 	}
 	inf, _ := proto.(Influencer)
-	return &ParallelSystem{
+	ps := &ParallelSystem{
 		proto:      proto,
 		inf:        inf,
 		g:          proto.Graph(),
@@ -300,7 +292,20 @@ func NewParallelSystem(proto Protocol, cfg ParallelConfig) *ParallelSystem {
 		waves:      cfg.FrontierWaves,
 		reshard:    cfg.Reshard,
 		seenN:      proto.Graph().N(),
+		pool:       make([]*worker, w),
+		brng:       rand.New(rand.NewSource(shardSeed(cfg.Seed, -1))),
+		recentA:    make([]int64, w),
+		shardWork:  make([]int64, w),
 	}
+	for s := range ps.pool {
+		ps.pool[s] = &worker{
+			ps:       ps,
+			rng:      rand.New(rand.NewSource(shardSeed(cfg.Seed, s))),
+			breach:   graph.None,
+			breachBy: graph.None,
+		}
+	}
+	return ps
 }
 
 // Protocol returns the protocol under execution.
@@ -327,18 +332,19 @@ func (ps *ParallelSystem) Rounds() int64 { return ps.rounds }
 func (ps *ParallelSystem) WorkUnits() int64 { return ps.work }
 
 // SpanUnits returns the counted critical path so far: per step, the
-// largest per-shard phase-A work plus the serial phase-B work. With
+// largest per-shard phase-A work plus the phase-B critical path. With
 // one worker span equals work; the ratio work/span is the schedule's
 // available parallelism, independent of wall-clock and core count.
 func (ps *ParallelSystem) SpanUnits() int64 { return ps.span }
 
 // Trace returns the recorded move trace in canonical serialization
-// order (per step: shard 0's moves, shard 1's, …, boundary moves).
+// order (per step: shard 0's moves, shard 1's, …, then wave 0's,
+// wave 1's, …).
 // Empty unless ParallelConfig.Record was set.
 func (ps *ParallelSystem) Trace() []Move { return ps.trace }
 
 // FrontierSize returns how many live nodes are currently classified
-// frontier (executed by the boundary pass — serial, or in waves when
+// frontier (fired by phase B, one node at a time or in waves when
 // FrontierWaves is on).
 func (ps *ParallelSystem) FrontierSize() int {
 	ps.ensureInit()
@@ -347,7 +353,8 @@ func (ps *ParallelSystem) FrontierSize() int {
 
 // WaveCount returns how many waves the current frontier schedule has —
 // the chromatic number the greedy distance-2R coloring achieved. Zero
-// when wave execution is off or the frontier is empty.
+// when FrontierWaves is off (phase B then fires uncached single-node
+// waves) or the frontier is empty.
 func (ps *ParallelSystem) WaveCount() int {
 	ps.ensureInit()
 	return len(ps.waveSets)
@@ -381,8 +388,9 @@ func (ps *ParallelSystem) ShardWork(buf []int64) []int64 {
 }
 
 // BoundarySpanUnits returns the phase-B share of the counted span: the
-// whole boundary work when the pass is serial, the Σ of per-wave
-// maximum chunk work when waves are on. The seam cost T17 measures.
+// Σ over waves of the largest per-worker chunk work — the whole
+// boundary work when waves are single nodes (FrontierWaves off). The
+// seam cost T17 measures.
 func (ps *ParallelSystem) BoundarySpanUnits() int64 { return ps.spanB }
 
 // EnabledNodes appends the ids of all currently enabled processors in
@@ -425,32 +433,16 @@ func (ps *ParallelSystem) ensureInit() {
 	}
 	ps.interior = make([]bool, n)
 	ps.classifyAll()
-	ps.shards = make([]*pshard, ps.workers)
-	for s := 0; s < ps.workers; s++ {
-		ps.shards[s] = &pshard{
-			ps:     ps,
-			id:     s,
-			lo:     ps.bounds[s],
-			hi:     ps.bounds[s+1],
-			rng:    rand.New(rand.NewSource(shardSeed(ps.seed, s))),
-			breach: graph.None,
-		}
+	// Seed restarts each stream exactly as a fresh rand.New would.
+	for s, w := range ps.pool {
+		w.lo, w.hi = ps.bounds[s], ps.bounds[s+1]
+		w.rng.Seed(shardSeed(ps.seed, s))
 	}
-	ps.brng = rand.New(rand.NewSource(shardSeed(ps.seed, -1)))
-	if ps.recentA == nil {
-		ps.recentA = make([]int64, ps.workers)
-		ps.shardWork = make([]int64, ps.workers)
-	}
+	ps.brng.Seed(shardSeed(ps.seed, -1))
 	for s := range ps.recentA {
 		ps.recentA[s] = 0
 	}
 	ps.sinceReshard = 0
-	if ps.waves && ps.wwork == nil {
-		ps.wwork = make([]*wwave, ps.workers)
-		for s := range ps.wwork {
-			ps.wwork[s] = &wwave{ps: ps, breach: graph.None, breachBy: graph.None}
-		}
-	}
 
 	if ps.acts == nil {
 		ps.arena = make([]ActionID, n*actionStride)
@@ -459,7 +451,7 @@ func (ps *ParallelSystem) ensureInit() {
 			ps.acts[v] = ps.arena[v*actionStride : v*actionStride : (v+1)*actionStride]
 		}
 		ps.enabled = make([]bool, n)
-		ps.mark = make([]int64, n)
+		ps.stamp = make([]int64, n)
 		ps.pending = make([]bool, n)
 	}
 	ps.count = 0
@@ -480,7 +472,7 @@ func (ps *ParallelSystem) ensureInit() {
 	ps.inited = true
 }
 
-// shardSeed derives a per-shard RNG seed (s = -1 is the boundary pass)
+// shardSeed derives a per-shard RNG seed (s = -1 is phase B)
 // with a splitmix64-style mix so nearby seeds do not correlate.
 func shardSeed(seed int64, s int) int64 {
 	z := uint64(seed) + uint64(s+2)*0x9E3779B97F4A7C15
@@ -580,8 +572,8 @@ func (ps *ParallelSystem) rebuildWaves() {
 }
 
 // Step performs one parallel distributed-daemon step: concurrent
-// interior sweeps per shard, a barrier, then the serialized boundary
-// pass. It returns the number of moves that fired; 0 with a nil error
+// interior sweeps per shard, a barrier, then the frontier wave by
+// wave. It returns the number of moves that fired; 0 with a nil error
 // and EnabledCount()==0 means the configuration is terminal (with an
 // activation probability below 1 a step can also fire 0 moves by
 // chance, so terminality is EnabledCount, not the return value).
@@ -594,73 +586,44 @@ func (ps *ParallelSystem) Step() (int, error) {
 	if ps.count == 0 {
 		return 0, nil
 	}
+	moves0 := ps.moves
 
 	// Phase A: concurrent interior sweeps. Workers share ps.epoch as
-	// the dirty-stamp value — safe because ownership makes their mark
+	// the dirty-stamp value — safe because ownership makes their stamp
 	// writes disjoint.
 	ps.epoch++
 	var wg sync.WaitGroup
-	for _, sh := range ps.shards {
+	for _, w := range ps.pool {
 		wg.Add(1)
-		go func(sh *pshard) {
+		go func(w *worker) {
 			defer wg.Done()
-			sh.sweep()
-		}(sh)
+			w.sweep()
+		}(w)
 	}
 	wg.Wait()
-
-	fired := 0
 	maxShard := int64(0)
-	for _, sh := range ps.shards {
-		if sh.breach != graph.None {
-			return fired, fmt.Errorf(
-				"program: protocol %q influenced node %d outside shard %d [%d,%d) — locality radius %d is under-declared",
-				ps.proto.Name(), sh.breach, sh.id, sh.lo, sh.hi, ps.radius)
-		}
-		w := sh.stepEvals + sh.stepMoves
-		if w > maxShard {
-			maxShard = w
-		}
-		ps.work += w
-		ps.recentA[sh.id] += w
-		ps.shardWork[sh.id] += w
-		ps.moves += sh.stepMoves
-		fired += int(sh.stepMoves)
-		ps.count += sh.countD
-		ps.pendingCount += sh.pendingD
-		if ps.record {
-			ps.trace = append(ps.trace, sh.trace...)
-		}
-		sh.stepEvals, sh.stepMoves, sh.countD, sh.pendingD = 0, 0, 0, 0
-		sh.trace = sh.trace[:0]
+	for s, w := range ps.pool {
+		work := w.collect()
+		maxShard = max(maxShard, work)
+		ps.recentA[s] += work
+		ps.shardWork[s] += work
+	}
+	if err := ps.breached(ownShard); err != nil {
+		return int(ps.moves - moves0), err
 	}
 	ps.startRound = false
 
-	// Phase B: the boundary pass — serialized sweep, or batched
-	// concurrent waves when FrontierWaves is on. Both account bWork
-	// (total boundary work) and bSpan (its critical-path share: equal
-	// for the serial pass, Σ per-wave max chunk for waves). The phases
-	// are barrier-separated, so the step's span is their sum, not the
-	// max — phase B cannot overlap a still-running shard.
-	var bWork, bSpan int64
+	// Phase B. The phases are barrier-separated, so the step's span is
+	// their sum, not the max — phase B cannot overlap a still-running
+	// shard.
+	own := ownAll
 	if ps.waves {
-		var bFired int
-		bWork, bSpan, bFired = ps.waveSweep()
-		fired += bFired
-		for _, ww := range ps.wwork {
-			if ww.breach != graph.None {
-				breach, by := ww.breach, ww.breachBy
-				ww.breach, ww.breachBy = graph.None, graph.None
-				return fired, fmt.Errorf(
-					"program: protocol %q influenced node %d outside the radius-%d ball of wave mover %d — locality radius is under-declared",
-					ps.proto.Name(), breach, ps.radius, by)
-			}
-		}
-	} else {
-		bWork = ps.serialBoundary(&fired)
-		bSpan = bWork
+		own = ownBall
 	}
-	ps.work += bWork
+	bSpan := ps.fireWaves(own)
+	if err := ps.breached(own); err != nil {
+		return int(ps.moves - moves0), err
+	}
 	ps.span += maxShard + bSpan
 	ps.spanB += bSpan
 	ps.steps++
@@ -678,209 +641,109 @@ func (ps *ParallelSystem) Step() (int, error) {
 	if ps.reshard.enabled() && ps.sinceReshard >= ps.reshard.minInterval() && ps.imbalanced() {
 		ps.reshardByWork()
 	}
-	return fired, nil
+	return int(ps.moves - moves0), nil
 }
 
-// serialBoundary is the serialized phase B: sweep the frontier in
-// ascending global order, firing enabled nodes under the boundary RNG
-// and eagerly repairing caches across shard boundaries. Returns the
-// boundary work performed.
-func (ps *ParallelSystem) serialBoundary(fired *int) int64 {
-	ps.epoch++
-	ps.dirty = ps.dirty[:0]
-	bWork := int64(0)
-	for _, u := range ps.frontier {
-		if !ps.enabled[u] {
-			continue
-		}
-		if ps.activation < 1 && ps.brng.Float64() >= ps.activation {
-			continue
-		}
-		a := ps.acts[u][0]
-		if len(ps.acts[u]) > 1 {
-			a = ps.acts[u][ps.brng.Intn(len(ps.acts[u]))]
-		}
-		bWork++
-		if !ps.proto.Execute(u, a) {
-			continue
-		}
-		*fired++
-		ps.moves++
-		if ps.record {
-			ps.trace = append(ps.trace, Move{Node: u, Action: a})
-		}
-		if ps.pending[u] {
-			ps.pending[u] = false
-			ps.pendingCount--
-		}
-		ps.markDirtySerial(u)
-		if ps.inf != nil {
-			ps.infBuf = ps.inf.Influence(u, a, ps.infBuf[:0])
-			for _, q := range ps.infBuf {
-				ps.markDirtySerial(q)
-			}
-		} else {
-			for _, q := range ps.g.Neighbors(u) {
-				if q != graph.None {
-					ps.markDirtySerial(q)
-				}
-			}
-		}
-		bWork += ps.refreshSerial()
-	}
-	return bWork
-}
-
-// waveSweep is the batched phase B: fire each cached wave across the
-// worker pool. Per wave, the activation and action draws are made
-// serially from the boundary RNG in ascending member order *before*
-// dispatch — so the trace stays a pure function of (snapshot, seed,
-// workers) no matter how the scheduler interleaves the workers — and
-// the selected moves are split into contiguous chunks, one goroutine
-// per chunk. Ball disjointness inside a wave is what makes the
-// concurrent Execute+refresh race-free: a worker only writes caches
-// inside its movers' balls, and two wave members' balls never
-// intersect (the breach check enforces exactly this at runtime for
-// protocols that declare an Influence set).
+// fireWaves is phase B: it fires the frontier wave by wave, each wave's
+// moves in region own, and returns the phase's span — Σ over waves of
+// the largest per-worker chunk work. With FrontierWaves off every
+// frontier node is a wave of its own, in ascending order, so phase B
+// is a serialized sweep whose span is its whole work.
 //
-// The draws deliberately read the post-previous-wave cache: a move in
-// wave k may enable or disable a member of wave k+1, and the pre-draw
-// sees that — equivalent to the serial sweep's "check enabled at your
-// turn" rule, coarsened to wave granularity.
-func (ps *ParallelSystem) waveSweep() (bWork, bSpan int64, fired int) {
-	for _, wave := range ps.waveSets {
+// Per wave, the activation and action draws are made serially from
+// the boundary RNG in ascending member order *before* dispatch — so
+// the trace stays a pure function of (snapshot, seed, workers) no
+// matter how the scheduler interleaves the workers — and the selected
+// moves are split into contiguous chunks, one goroutine per chunk. The
+// draws read the post-previous-wave cache: a move in wave k may enable
+// or disable a member of wave k+1, and the draw sees that. With
+// single-node waves this is exactly "check enabled at your turn".
+func (ps *ParallelSystem) fireWaves(own region) (span int64) {
+	waves := len(ps.frontier)
+	if ps.waves {
+		waves = len(ps.waveSets)
+	}
+	fire := func(w *worker, moves []Move) {
+		for _, mv := range moves {
+			w.fire(mv.Node, mv.Action, own)
+		}
+	}
+	for i := 0; i < waves; i++ {
+		wave := ps.frontier[i : i+1]
+		if ps.waves {
+			wave = ps.waveSets[i]
+		}
 		ps.waveDraw = ps.waveDraw[:0]
 		for _, u := range wave {
 			if !ps.enabled[u] {
 				continue
 			}
-			if ps.activation < 1 && ps.brng.Float64() >= ps.activation {
-				continue
+			if a, ok := ps.draw(u, ps.brng); ok {
+				ps.waveDraw = append(ps.waveDraw, Move{Node: u, Action: a})
 			}
-			a := ps.acts[u][0]
-			if len(ps.acts[u]) > 1 {
-				a = ps.acts[u][ps.brng.Intn(len(ps.acts[u]))]
-			}
-			ps.waveDraw = append(ps.waveDraw, Move{Node: u, Action: a})
 		}
 		if len(ps.waveDraw) == 0 {
 			continue
 		}
-		chunks := ps.workers
-		if len(ps.waveDraw) < chunks {
-			chunks = len(ps.waveDraw)
-		}
+		chunks := min(ps.workers, len(ps.waveDraw))
 		ps.epoch++
 		if chunks == 1 {
-			ps.wwork[0].fire(ps.waveDraw)
+			fire(ps.pool[0], ps.waveDraw)
 		} else {
 			var wg sync.WaitGroup
 			for c := 0; c < chunks; c++ {
 				lo := c * len(ps.waveDraw) / chunks
 				hi := (c + 1) * len(ps.waveDraw) / chunks
 				wg.Add(1)
-				go func(ww *wwave, moves []Move) {
+				go func(w *worker, moves []Move) {
 					defer wg.Done()
-					ww.fire(moves)
-				}(ps.wwork[c], ps.waveDraw[lo:hi])
+					fire(w, moves)
+				}(ps.pool[c], ps.waveDraw[lo:hi])
 			}
 			wg.Wait()
 		}
 		waveMax := int64(0)
-		for c := 0; c < chunks; c++ {
-			ww := ps.wwork[c]
-			if ww.work > waveMax {
-				waveMax = ww.work
-			}
-			bWork += ww.work
-			fired += int(ww.moves)
-			ps.moves += ww.moves
-			ps.count += ww.countD
-			ps.pendingCount += ww.pendingD
-			if ps.record {
-				ps.trace = append(ps.trace, ww.trace...)
-			}
-			ww.work, ww.moves, ww.countD, ww.pendingD = 0, 0, 0, 0
-			ww.trace = ww.trace[:0]
+		for _, w := range ps.pool[:chunks] {
+			waveMax = max(waveMax, w.collect())
 		}
-		bSpan += waveMax
+		span += waveMax
 	}
-	return bWork, bSpan, fired
+	return span
 }
 
-// fire executes one contiguous chunk of a wave's pre-drawn moves,
-// eagerly repairing the influenced guard caches. The mover's radius-R
-// ball is the worker's ownership region: influenced nodes outside it
-// are never written — they are recorded as a breach and reported by
-// Step, exactly like phase A's shard-ownership check.
-func (ww *wwave) fire(moves []Move) {
-	ps := ww.ps
-	for _, mv := range moves {
-		u, a := mv.Node, mv.Action
-		ww.work++
-		if !ps.proto.Execute(u, a) {
-			// Unreachable for a well-declared protocol: the pre-draw
-			// saw the guard enabled and no disjoint-ball move can have
-			// disabled it since.
-			continue
-		}
-		ww.moves++
-		if ps.record {
-			ww.trace = append(ww.trace, mv)
-		}
-		if ps.pending[u] {
-			ps.pending[u] = false
-			ww.pendingD--
-		}
-		ww.mark(u)
-		if ps.inf != nil {
-			ww.ballBuf = InfluenceBall(ps.g, u, ps.radius, ww.ballBuf[:0])
-			ww.infBuf = ps.inf.Influence(u, a, ww.infBuf[:0])
-			for _, q := range ww.infBuf {
-				if !containsNode(ww.ballBuf, q) {
-					if ww.breach == graph.None {
-						ww.breach, ww.breachBy = q, u
-					}
-					continue
-				}
-				ww.mark(q)
-			}
-		} else {
-			// Default locality: influence = closed neighbourhood =
-			// the radius-1 ball exactly, so no breach is possible.
-			for _, q := range ps.g.Neighbors(u) {
-				if q != graph.None {
-					ww.mark(q)
-				}
-			}
-		}
-		evals, countD, pendingD := ps.refreshList(ww.dirty)
-		ww.work += evals
-		ww.countD += countD
-		ww.pendingD += pendingD
-		ww.dirty = ww.dirty[:0]
+// draw makes the distributed daemon's choice for the enabled node u
+// from rng: the activation draw, then — when u has several enabled
+// actions — the action draw.
+func (ps *ParallelSystem) draw(u graph.NodeID, rng *rand.Rand) (ActionID, bool) {
+	if ps.activation < 1 && rng.Float64() >= ps.activation {
+		return 0, false
 	}
+	acts := ps.acts[u]
+	if len(acts) > 1 {
+		return acts[rng.Intn(len(acts))], true
+	}
+	return acts[0], true
 }
 
-// mark queues u for the worker's next guard refresh. The shared stamp
-// array is safe: within a wave, two workers' movers have disjoint
-// balls, so their marked sets are disjoint.
-func (ww *wwave) mark(u graph.NodeID) {
-	if ww.ps.mark[u] != ww.ps.epoch {
-		ww.ps.mark[u] = ww.ps.epoch
-		ww.dirty = append(ww.dirty, u)
-	}
-}
-
-// containsNode reports whether ball (a small BFS-ordered slice)
-// contains q.
-func containsNode(ball []graph.NodeID, q graph.NodeID) bool {
-	for _, u := range ball {
-		if u == q {
-			return true
+// breached reports the first ownership breach a worker recorded while
+// firing in region own, and clears every worker's breach.
+func (ps *ParallelSystem) breached(own region) error {
+	var err error
+	for s, w := range ps.pool {
+		if w.breach != graph.None && err == nil {
+			if own == ownShard {
+				err = fmt.Errorf(
+					"program: protocol %q influenced node %d outside shard %d [%d,%d) — locality radius %d is under-declared",
+					ps.proto.Name(), w.breach, s, w.lo, w.hi, ps.radius)
+			} else {
+				err = fmt.Errorf(
+					"program: protocol %q influenced node %d outside the radius-%d ball of wave mover %d — locality radius is under-declared",
+					ps.proto.Name(), w.breach, ps.radius, w.breachBy)
+			}
 		}
+		w.breach, w.breachBy = graph.None, graph.None
 	}
-	return false
+	return err
 }
 
 // imbalanced reports whether the per-shard work accumulated since the
@@ -932,93 +795,107 @@ func (ps *ParallelSystem) reshardByWork() {
 }
 
 // sweep is one worker's phase A: fire every enabled interior node of
-// the shard in ascending order, eagerly repairing the influenced guard
-// caches (ownership keeps every touched index inside the shard).
-func (sh *pshard) sweep() {
-	ps := sh.ps
+// the shard in ascending order, drawing from the shard's own RNG.
+func (w *worker) sweep() {
+	ps := w.ps
 	if ps.startRound {
-		for v := sh.lo; v < sh.hi; v++ {
+		for v := w.lo; v < w.hi; v++ {
 			if ps.enabled[v] && !ps.pending[v] {
 				ps.pending[v] = true
-				sh.pendingD++
+				w.pendingD++
 			}
 		}
 	}
-	for v := sh.lo; v < sh.hi; v++ {
+	for v := w.lo; v < w.hi; v++ {
 		if !ps.enabled[v] || !ps.interior[v] {
 			continue
 		}
-		if ps.activation < 1 && sh.rng.Float64() >= ps.activation {
-			continue
+		if a, ok := ps.draw(graph.NodeID(v), w.rng); ok {
+			w.fire(graph.NodeID(v), a, ownShard)
 		}
-		id := graph.NodeID(v)
-		a := ps.acts[v][0]
-		if len(ps.acts[v]) > 1 {
-			a = ps.acts[v][sh.rng.Intn(len(ps.acts[v]))]
-		}
-		if !ps.proto.Execute(id, a) {
-			// The cache invariant makes this unreachable for a
-			// well-declared protocol; fire nothing and move on.
-			continue
-		}
-		sh.stepMoves++
-		if ps.record {
-			sh.trace = append(sh.trace, Move{Node: id, Action: a})
-		}
-		if ps.pending[v] {
-			ps.pending[v] = false
-			sh.pendingD--
-		}
-		sh.mark(id)
-		if ps.inf != nil {
-			sh.infBuf = ps.inf.Influence(id, a, sh.infBuf[:0])
-			for _, q := range sh.infBuf {
-				sh.mark(q)
-			}
-		} else {
-			for _, q := range ps.g.Neighbors(id) {
-				if q != graph.None {
-					sh.mark(q)
-				}
-			}
-		}
-		sh.refresh()
 	}
 }
 
-// mark queues u for guard re-evaluation. A node outside the shard is
-// never written (that would be the data race ownership exists to
-// prevent); it is recorded as a breach and reported by Step.
-func (sh *pshard) mark(u graph.NodeID) {
-	if int(u) < sh.lo || int(u) >= sh.hi {
-		if sh.breach == graph.None {
-			sh.breach = u
+// fire executes (u, a) and eagerly repairs the guard caches it
+// influences. Only nodes in the owned region are written: an
+// influenced node outside it is recorded as a breach, which Step
+// reports as an under-declared locality radius, instead of racing
+// another worker.
+func (w *worker) fire(u graph.NodeID, a ActionID, own region) {
+	ps := w.ps
+	if !ps.proto.Execute(u, a) {
+		// Unreachable for a well-declared protocol: the cache saw the
+		// guard enabled, and no move outside the owner's knowledge can
+		// have disabled it since.
+		return
+	}
+	w.work++
+	w.moves++
+	if ps.record {
+		w.trace = append(w.trace, Move{Node: u, Action: a})
+	}
+	if ps.pending[u] {
+		ps.pending[u] = false
+		w.pendingD--
+	}
+	w.mark(u, u, ownAll)
+	if ps.inf == nil {
+		// Default locality: influence = closed neighbourhood, inside
+		// the radius-R ball and so inside every owned region.
+		for _, q := range ps.g.Neighbors(u) {
+			if q != graph.None {
+				w.mark(q, u, ownAll)
+			}
+		}
+	} else {
+		if own == ownBall {
+			w.ball = InfluenceBall(ps.g, u, ps.radius, w.ball[:0])
+		}
+		w.infBuf = ps.inf.Influence(u, a, w.infBuf[:0])
+		for _, q := range w.infBuf {
+			w.mark(q, u, own)
+		}
+	}
+	w.refresh()
+}
+
+// mark queues q for the worker's next refresh when q lies in the owned
+// region; otherwise it records the first breach and writes nothing.
+func (w *worker) mark(q, by graph.NodeID, own region) {
+	owned := true
+	switch own {
+	case ownShard:
+		owned = w.lo <= int(q) && int(q) < w.hi
+	case ownBall:
+		owned = slices.Contains(w.ball, q)
+	}
+	if !owned {
+		if w.breach == graph.None {
+			w.breach, w.breachBy = q, by
 		}
 		return
 	}
-	if sh.ps.mark[u] != sh.ps.epoch {
-		sh.ps.mark[u] = sh.ps.epoch
-		sh.dirty = append(sh.dirty, u)
+	if w.ps.stamp[q] != w.ps.epoch {
+		w.ps.stamp[q] = w.ps.epoch
+		w.dirty = append(w.dirty, q)
 	}
 }
 
-// refreshList re-evaluates the guards of the given dirty nodes and
-// re-arms their dedup stamps, returning the evaluation count and the
-// enabled/pending deltas. It is the shared core of the phase-A shard
-// refresh, the wave refresh and the serial refresh; each caller's
-// ownership argument (shard ranges, disjoint balls, or quiescence)
-// makes its dirty set disjoint from every concurrent caller's, so the
-// per-node writes never race.
+// refresh re-evaluates the guards of the worker's dirty nodes and
+// re-arms their stamps. Ownership makes the dirty set disjoint from
+// every concurrent worker's, so the per-node writes never race.
 //
 // The stamp re-arm matters: a later move of the same epoch may
 // influence these nodes again, and the refresh just performed must not
 // swallow that re-evaluation. Epochs start at 1, so 0 never matches.
-func (ps *ParallelSystem) refreshList(dirty []graph.NodeID) (evals int64, countD, pendingD int) {
-	for _, u := range dirty {
+func (w *worker) refresh() {
+	ps := w.ps
+	for _, u := range w.dirty {
+		ps.stamp[u] = 0
 		was := ps.enabled[u]
 		if ps.g.Alive(u) {
 			ps.acts[u] = ps.proto.Enabled(u, ps.acts[u][:0])
-			evals++
+			w.work++
 		} else {
 			ps.acts[u] = ps.acts[u][:0]
 		}
@@ -1026,60 +903,44 @@ func (ps *ParallelSystem) refreshList(dirty []graph.NodeID) (evals int64, countD
 		if now != was {
 			ps.enabled[u] = now
 			if now {
-				countD++
+				w.countD++
 			} else {
-				countD--
+				w.countD--
 			}
 		}
 		if !now && ps.pending[u] {
 			ps.pending[u] = false
-			pendingD--
+			w.pendingD--
 		}
 	}
-	for _, u := range dirty {
-		ps.mark[u] = 0
-	}
-	return evals, countD, pendingD
+	w.dirty = w.dirty[:0]
 }
 
-// refresh re-evaluates the guards of the shard's dirty nodes, keeping
-// the cache invariant inside the shard during phase A.
-func (sh *pshard) refresh() {
-	evals, countD, pendingD := sh.ps.refreshList(sh.dirty)
-	sh.stepEvals += evals
-	sh.countD += countD
-	sh.pendingD += pendingD
-	sh.dirty = sh.dirty[:0]
-}
-
-// markDirtySerial queues u for the serial refresh (boundary pass and
-// ApplyDelta) — any shard, no ownership restriction.
-func (ps *ParallelSystem) markDirtySerial(u graph.NodeID) {
-	if ps.mark[u] != ps.epoch {
-		ps.mark[u] = ps.epoch
-		ps.dirty = append(ps.dirty, u)
-	}
-}
-
-// refreshSerial re-evaluates the guards of the serial dirty set and
-// returns the number of evaluations performed.
-func (ps *ParallelSystem) refreshSerial() int64 {
-	evals, countD, pendingD := ps.refreshList(ps.dirty)
-	ps.count += countD
-	ps.pendingCount += pendingD
-	ps.dirty = ps.dirty[:0]
-	return evals
+// collect folds the worker's counters and trace into the system,
+// resets them, and returns the work the worker did since the last
+// collect.
+func (w *worker) collect() int64 {
+	ps, work := w.ps, w.work
+	ps.work += work
+	ps.moves += w.moves
+	ps.count += w.countD
+	ps.pendingCount += w.pendingD
+	ps.trace = append(ps.trace, w.trace...)
+	w.work, w.moves, w.countD, w.pendingD = 0, 0, 0, 0
+	w.trace = w.trace[:0]
+	return work
 }
 
 // ApplyDelta incorporates one topology mutation — already applied to
-// the protocol's graph — into the running parallel system. Workers
-// only exist inside Step, so the call always finds the engine
-// quiesced; it runs the protocol's TopologyChanged hook, repairs the
-// guard cache for the touched set plus the returned influence ball
-// (appending cache slots when the delta grew the id space — new ids
-// join the last shard), and re-classifies interior/frontier membership
-// inside the radius-R ball of the touched set, since only nodes that
-// close to the mutation can change sides of the disjointness test.
+// the protocol's graph — into the running parallel system. Worker
+// goroutines only run inside Step, so the call always finds the
+// engine quiesced; it runs the protocol's TopologyChanged hook,
+// repairs the guard cache for the touched set plus the returned
+// influence ball through worker 0 (appending cache slots when the
+// delta grew the id space — new ids join the last shard), and
+// re-classifies interior/frontier membership inside the radius-R ball
+// of the touched set, since only nodes that close to the mutation can
+// change sides of the disjointness test.
 func (ps *ParallelSystem) ApplyDelta(d graph.Delta) {
 	var ball []graph.NodeID
 	if ta, ok := ps.proto.(TopologyAware); ok {
@@ -1102,14 +963,15 @@ func (ps *ParallelSystem) ApplyDelta(d graph.Delta) {
 		return
 	}
 	ps.epoch++
-	ps.dirty = ps.dirty[:0]
+	w := ps.pool[0]
 	for _, u := range d.Touched {
-		ps.markDirtySerial(u)
+		w.mark(u, u, ownAll)
 	}
 	for _, u := range ball {
-		ps.markDirtySerial(u)
+		w.mark(u, u, ownAll)
 	}
-	ps.work += ps.refreshSerial()
+	w.refresh()
+	w.collect()
 	ps.reclassify(d.Touched)
 }
 
@@ -1136,7 +998,7 @@ func (ps *ParallelSystem) grow(n int) {
 	for v := old; v < n; v++ {
 		ps.acts = append(ps.acts, ps.arena[v*actionStride:v*actionStride:(v+1)*actionStride])
 		ps.enabled = append(ps.enabled, false)
-		ps.mark = append(ps.mark, 0)
+		ps.stamp = append(ps.stamp, 0)
 		ps.pending = append(ps.pending, false)
 		ps.shardOf = append(ps.shardOf, last)
 		// A fresh node is isolated, so its radius ball is itself:
@@ -1145,7 +1007,7 @@ func (ps *ParallelSystem) grow(n int) {
 		ps.interior = append(ps.interior, true)
 	}
 	ps.bounds[ps.workers] = n
-	ps.shards[ps.workers-1].hi = n
+	ps.pool[ps.workers-1].hi = n
 }
 
 // reclassify recomputes interior membership for every node within
@@ -1220,8 +1082,8 @@ func (ps *ParallelSystem) Reshard() {
 func (ps *ParallelSystem) applyBounds(bounds []int) {
 	copy(ps.bounds, bounds)
 	for s := 0; s < ps.workers; s++ {
-		ps.shards[s].lo = ps.bounds[s]
-		ps.shards[s].hi = ps.bounds[s+1]
+		ps.pool[s].lo = ps.bounds[s]
+		ps.pool[s].hi = ps.bounds[s+1]
 		for v := ps.bounds[s]; v < ps.bounds[s+1]; v++ {
 			ps.shardOf[v] = int32(s)
 		}

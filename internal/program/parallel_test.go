@@ -17,6 +17,7 @@ package program_test
 import (
 	"bytes"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"testing"
 
@@ -328,6 +329,99 @@ func TestParallelChurn(t *testing.T) {
 		t.Fatal("no convergence after churn")
 	}
 	parallelCacheInvariant(t, ps, p)
+}
+
+// parallelCounts is one run's counted units plus an FNV-1a hash of its
+// recorded trace.
+type parallelCounts struct {
+	Moves, Steps, Rounds, Work, Span, SpanB int64
+	Trace                                   uint64
+}
+
+// TestParallelCountedUnitsPinned pins the counted units exactly: a
+// radius-1 and a radius-2 stack, waves off and on, full and half
+// activation, each through an edge flap at a shard seam and an
+// out-of-band corruption with Invalidate. The expected values were
+// recorded from the engine with a separate serialized boundary pass;
+// the single-node-wave phase B must reproduce them move for move and
+// unit for unit. benchtab -regress guards the same numbers only within
+// a 2x tolerance.
+func TestParallelCountedUnitsPinned(t *testing.T) {
+	want := map[string]parallelCounts{
+		"bfstree/waves=false/act=1":        {464, 15, 15, 2572, 2166, 1262, 11123989951658578030},
+		"bfstree/waves=false/act=0.5":      {446, 51, 12, 2478, 2078, 1331, 8093110631213395347},
+		"bfstree/waves=true/act=1":         {483, 19, 19, 2676, 1610, 647, 11177460183959603191},
+		"bfstree/waves=true/act=0.5":       {487, 60, 12, 2696, 1785, 957, 2352277080378556620},
+		"stno/dfstree/waves=false/act=1":   {11460, 244, 244, 78405, 75369, 67812, 9696390277018638084},
+		"stno/dfstree/waves=false/act=0.5": {5389, 325, 62, 35847, 34882, 30601, 18429753003805543547},
+		"stno/dfstree/waves=true/act=1":    {10102, 217, 217, 68833, 38608, 31771, 13953510154488549376},
+		"stno/dfstree/waves=true/act=0.5":  {10424, 514, 84, 71497, 49320, 41663, 13242311374484028970},
+	}
+	builders := protoBuilders()
+	for _, pname := range []string{"bfstree", "stno/dfstree"} {
+		for _, waves := range []bool{false, true} {
+			for _, act := range []float64{1, 0.5} {
+				name := fmt.Sprintf("%s/waves=%v/act=%v", pname, waves, act)
+				t.Run(name, func(t *testing.T) {
+					g, err := graph.Named("grid:8x8")
+					if err != nil {
+						t.Fatal(err)
+					}
+					p, err := builders[pname](g)
+					if err != nil {
+						t.Fatal(err)
+					}
+					p.Randomize(rand.New(rand.NewSource(21)))
+					ps := program.NewParallelSystem(p, program.ParallelConfig{
+						Workers: 3, Seed: 8, Activation: act, FrontierWaves: waves, Record: true,
+					})
+					step := func(k int) {
+						t.Helper()
+						for i := 0; i < k; i++ {
+							if _, err := ps.Step(); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
+					step(4)
+					// Nodes 20 and 28 sit on the seam between shards 0
+					// and 1 (bounds 0, 21, 42, 64).
+					d, err := g.RemoveEdge(20, 28)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ps.ApplyDelta(d)
+					step(3)
+					if d, err = g.AddEdge(20, 28); err != nil {
+						t.Fatal(err)
+					}
+					ps.ApplyDelta(d)
+					step(3)
+					p.Randomize(rand.New(rand.NewSource(22)))
+					ps.Invalidate()
+					res, err := ps.RunUntilLegitimate(int64(2000 * (g.N() + g.M())))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !res.Converged {
+						t.Fatal("no convergence after the flap and the corruption")
+					}
+					h := fnv.New64a()
+					for _, mv := range ps.Trace() {
+						fmt.Fprintf(h, "%d:%d;", mv.Node, mv.Action)
+					}
+					got := parallelCounts{
+						Moves: ps.Moves(), Steps: ps.Steps(), Rounds: ps.Rounds(),
+						Work: ps.WorkUnits(), Span: ps.SpanUnits(), SpanB: ps.BoundarySpanUnits(),
+						Trace: h.Sum64(),
+					}
+					if got != want[name] {
+						t.Fatalf("counted units %+v, want %+v", got, want[name])
+					}
+				})
+			}
+		}
+	}
 }
 
 // TestSystemGrowthAppend locksteps the serial incremental scheduler

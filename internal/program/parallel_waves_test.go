@@ -335,11 +335,11 @@ func TestParallelWaveReclassSkip(t *testing.T) {
 // overreach is the adversarial under-declaration case: its guards and
 // statements are honestly radius-1 (guards read only the node's own
 // flag, statements write it), but its Influence set names the whole
-// 2-hop ball while the protocol declares the default radius 1. The
-// serial boundary pass absorbs that — it may write any cache slot —
-// but a wave worker's ownership region is the mover's radius-1 ball,
-// so wave mode must refuse the foreign write and report a breach
-// instead of racing.
+// 2-hop ball while the protocol declares the default radius 1.
+// Single-node waves absorb that — their worker owns every cache slot —
+// but a shard worker owns only its shard and a multi-node wave worker
+// only the mover's radius-1 ball, so both must refuse the foreign
+// write and report a breach instead of racing.
 type overreach struct {
 	g *graph.Graph
 	x []byte
@@ -394,17 +394,41 @@ func TestParallelWaveBreachDetection(t *testing.T) {
 		t.Fatalf("breach error does not name the wave under-declaration: %v", firstErr)
 	}
 
-	// The serialized boundary pass, by contrast, tolerates the
-	// over-reported set: it owns every cache slot.
+	// Single-node waves, by contrast, tolerate the over-reported set:
+	// their worker owns every cache slot.
 	o2 := &overreach{g: g, x: make([]byte, g.N())}
 	ps2 := program.NewParallelSystem(o2, program.ParallelConfig{Workers: 4, Seed: 1})
 	for i := 0; i < 4; i++ {
 		if _, err := ps2.Step(); err != nil {
-			t.Fatalf("serial boundary pass rejected an over-reported influence set: %v", err)
+			t.Fatalf("single-node waves rejected an over-reported influence set: %v", err)
 		}
 	}
 	if ps2.EnabledCount() != 0 {
-		t.Fatal("overreach did not quiesce under the serial boundary pass")
+		t.Fatal("overreach did not quiesce under single-node waves")
+	}
+}
+
+// TestParallelShardBreachDetection is the phase-A twin: path:12 splits
+// into shards [0,6) and [6,12), so node 4 is interior (its radius-1
+// ball {3,4,5} stays in shard 0), yet its 2-hop influence set reaches
+// node 6 in shard 1. The shard worker must refuse that write and Step
+// must report the under-declaration, naming the shard.
+func TestParallelShardBreachDetection(t *testing.T) {
+	g, err := graph.Named("path:12")
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := &overreach{g: g, x: make([]byte, g.N())}
+	ps := program.NewParallelSystem(o, program.ParallelConfig{Workers: 2, Seed: 1})
+	if ps.FrontierSize() != 2 {
+		t.Fatalf("expected frontier {5,6}, got %d nodes", ps.FrontierSize())
+	}
+	_, err = ps.Step()
+	if err == nil {
+		t.Fatal("phase A absorbed a foreign influence write instead of detecting it")
+	}
+	if !strings.Contains(err.Error(), "under-declared") || !strings.Contains(err.Error(), "node 6 outside shard 0 [0,6)") {
+		t.Fatalf("breach error does not name the shard: %v", err)
 	}
 }
 
