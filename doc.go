@@ -270,12 +270,20 @@
 // (arXiv:0805.0851): each node caches versioned neighbour states, and
 // a move fires only when every cached state in the action's declared
 // influence ball is provably fresh — the node re-requests stale
-// entries and retries. Guards are re-validated under the runtime's
-// state mutex at fire time, which yields the *daemon-projection
-// guarantee*: the mutex order of fired moves is a legal
-// central-daemon execution of the same protocol, so every safety and
-// convergence property proved in the daemon model transfers to the
-// message runtime. The guarantee is checked, not assumed —
+// entries and retries. The runtime's authoritative state is a
+// program.System under one state mutex: a node that passes the
+// freshness gate picks one of its enabled actions and fires it through
+// System.Step, whose daemon selects exactly that move, so the serial
+// engine's enabled cache, witness and move counters are the runtime's.
+// Guards are re-validated under the mutex at fire time, which yields
+// the *daemon-projection guarantee*: the mutex order of fired moves is
+// a legal central-daemon execution of the same protocol, so every
+// safety and convergence property proved in the daemon model
+// transfers to the message runtime. Admin topology mutations repair
+// the guard cache and the witness through System.ApplyDelta, local to
+// the delta's ball as on the serial engine; the runtime's per-node
+// influence balls and its link map are still rebuilt whole. The
+// projection guarantee is checked, not assumed —
 // actor.CheckProjection replays each recorded execution move-for-move
 // on a serial full-scan oracle through program.ScriptDaemon (every
 // replayed move must be enabled when scheduled) and requires

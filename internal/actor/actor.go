@@ -13,9 +13,13 @@
 // evaluate its guards when its view of every node in its locality ball
 // is provably current.
 //
-// Concretely, the authoritative configuration lives in the protocol
-// object, guarded by one state mutex (composite atomicity, exactly the
-// shared-memory model's move granularity). Each node v carries a
+// Concretely, the authoritative configuration lives in a program.System
+// over the protocol, guarded by one state mutex (composite atomicity,
+// exactly the shared-memory model's move granularity). The System is
+// the serial engine itself: its enabled cache, witness and move
+// counters are the runtime's, every fired move is one System.Step, and
+// a topology delta is repaired by System.ApplyDelta over the delta's
+// ball, as on the serial engine. Each node v carries a
 // version counter ver[v], bumped under the mutex whenever v fires a
 // move, and each actor maintains seen[v][q] — the newest version of q
 // it has been *told about by a message*. The freshness gate: actor v
@@ -24,9 +28,10 @@
 // holds, v's message-derived knowledge of its ball coincides with the
 // true configuration, so evaluating the guards on the true state is
 // identical to evaluating them on v's local view — the evaluation is
-// implementable from messages alone. When it fails, v sends
-// state-requests to the stale nodes and yields. After firing, v
-// broadcasts its new version to its ball.
+// implementable from messages alone. v then picks one of its enabled
+// actions and hands that single move to the System's daemon. When the
+// gate fails, v sends state-requests to the stale nodes and yields.
+// After firing, v broadcasts its new version to its ball.
 //
 // # The projection guarantee
 //
@@ -153,6 +158,13 @@ const (
 	stateStopped
 )
 
+// gateDaemon is the System's daemon: it selects the one move the
+// gated actor chose, so System.Step fires exactly that move.
+type gateDaemon struct{ mv [1]program.Move }
+
+func (d *gateDaemon) Name() string                             { return "actor-gate" }
+func (d *gateDaemon) Select(program.EnabledSet) []program.Move { return d.mv[:] }
+
 // Runtime executes one protocol instance under the message-passing
 // model. Zero or one Run/Start cycle per Runtime.
 type Runtime struct {
@@ -160,29 +172,26 @@ type Runtime struct {
 	g      *graph.Graph
 	cfg    Config
 	radius int
-	inf    program.Influencer
 
-	// mu is the state mutex: the protocol configuration, ver, ball,
-	// the enabled cache, the witness and the move log all live under
-	// it. The graph is only read under it too, because admin topology
-	// mutations (Mutate) happen while it is held.
+	// mu is the state mutex. The authoritative state is sys, a
+	// program.System over the protocol: the configuration, the
+	// enabled cache, the witness and the move counters. ver, ball and
+	// the move log live under mu too. The graph is only read under it,
+	// because admin topology mutations (Mutate) happen while it is
+	// held.
 	mu       sync.Mutex
+	sys      *program.System
+	gate     gateDaemon
+	perMove  bool // the protocol is a program.Witness: count convergences per move
 	ver      []uint64
 	ball     [][]graph.NodeID // radius-R ball of each node, self excluded
-	enabled  []bool
-	enabledN int
-	witness  program.Witness
-	leg      program.Legitimacy
 	wasLegit bool
-	moveLog  []program.Move
+	moveLog  []program.Move // appended by sys.MoveHook while recording is valid
 	initSnap []byte
-	recordOK bool
 	adminRng *rand.Rand
 	stopped  bool
 	pred     func() bool
 	infBuf   []graph.NodeID
-	guardBuf []program.ActionID
-	taBuf    []graph.NodeID
 
 	// linkMu guards the link map and the mbox slice (both mutated by
 	// topology growth). Lock order: mu before linkMu.
@@ -196,7 +205,6 @@ type Runtime struct {
 	predOnce sync.Once
 	wg       sync.WaitGroup
 
-	moves        atomic.Int64
 	sent         atomic.Int64
 	delivered    atomic.Int64
 	droppedFault atomic.Int64
@@ -237,19 +245,18 @@ func New(p program.Protocol, cfg Config) (*Runtime, error) {
 		predDone: make(chan struct{}),
 		adminRng: rand.New(rand.NewSource(cfg.Seed ^ 0x5eed0ad)),
 	}
-	r.inf, _ = p.(program.Influencer)
-	r.leg, _ = p.(program.Legitimacy)
+	r.sys = program.NewSystem(p, &r.gate)
+	_, r.perMove = p.(program.Witness)
 	if cfg.Record {
 		sn, ok := p.(program.Snapshotter)
 		if !ok {
 			return nil, fmt.Errorf("actor: %s does not implement Snapshotter, cannot record for projection", p.Name())
 		}
 		r.initSnap = sn.Snapshot()
-		r.recordOK = true
+		r.sys.MoveHook = func(m program.Move) { r.moveLog = append(r.moveLog, m) }
 	}
 	n := r.g.N()
 	r.ver = make([]uint64, n)
-	r.enabled = make([]bool, n)
 	r.ball = make([][]graph.NodeID, n)
 	r.rebuildBallsLocked()
 	r.mbox = make([]chan message, n)
@@ -313,91 +320,22 @@ func (r *Runtime) rebuildLinksLocked() {
 	}
 }
 
-// rescanEnabledLocked recomputes the enabled cache from scratch.
-// Caller holds mu.
-func (r *Runtime) rescanEnabledLocked() {
-	r.enabledN = 0
-	for v := 0; v < r.g.N(); v++ {
-		id := graph.NodeID(v)
-		on := false
-		if r.g.Alive(id) {
-			r.guardBuf = r.proto.Enabled(id, r.guardBuf[:0])
-			on = len(r.guardBuf) > 0
-		}
-		r.enabled[v] = on
-		if on {
-			r.enabledN++
-		}
-	}
-}
-
-// refreshEnabledLocked re-evaluates the enabled bit of one node.
-// Caller holds mu.
-func (r *Runtime) refreshEnabledLocked(v graph.NodeID) {
-	on := false
-	if r.g.Alive(v) {
-		r.guardBuf = r.proto.Enabled(v, r.guardBuf[:0])
-		on = len(r.guardBuf) > 0
-	}
-	if on != r.enabled[v] {
-		r.enabled[v] = on
-		if on {
-			r.enabledN++
-		} else {
-			r.enabledN--
-		}
-	}
-}
-
-// afterMoveLocked maintains the derived state after v fired action a:
-// the move log, the witness counters and the enabled cache, each over
-// the move's influence set (the same dirty set the serial scheduler
-// uses). Caller holds mu.
-func (r *Runtime) afterMoveLocked(v graph.NodeID, a program.ActionID) {
-	if r.recordOK {
-		r.moveLog = append(r.moveLog, program.Move{Node: v, Action: a})
-	}
-	if r.inf != nil {
-		r.infBuf = r.inf.Influence(v, a, r.infBuf[:0])
-	} else {
-		r.infBuf = program.InfluenceClosedNeighborhood(r.g, v, r.infBuf[:0])
-	}
-	if r.witness != nil {
-		r.witness.WitnessRefresh(v)
-		for _, q := range r.infBuf {
-			if q != graph.None {
-				r.witness.WitnessRefresh(q)
-			}
-		}
-	}
-	r.refreshEnabledLocked(v)
-	for _, q := range r.infBuf {
-		if q != graph.None && q != v {
-			r.refreshEnabledLocked(q)
-		}
-	}
-	// With a witness the legitimacy probe is O(1), so convergence
-	// transitions are counted move-accurately here; without one the
-	// supervisor counts them at tick granularity.
-	if r.witness != nil {
-		legit := r.witness.WitnessLegitimate()
-		if legit && !r.wasLegit {
-			r.convergences.Add(1)
-		}
-		r.wasLegit = legit
-	}
-}
-
-// legitimateLocked evaluates legitimacy, O(1) off the witness when
-// armed. Caller holds mu.
+// legitimateLocked evaluates legitimacy: O(1) off the System's
+// witness, armed on the first call, when the protocol has one. Caller
+// holds mu.
 func (r *Runtime) legitimateLocked() bool {
-	if r.witness != nil {
-		return r.witness.WitnessLegitimate()
+	res, err := r.sys.RunUntilLegitimate(0)
+	return err == nil && res.Converged
+}
+
+// observeLocked counts an illegitimate→legitimate transition. Caller
+// holds mu.
+func (r *Runtime) observeLocked() {
+	legit := r.legitimateLocked()
+	if legit && !r.wasLegit {
+		r.convergences.Add(1)
 	}
-	if r.leg != nil {
-		return r.leg.Legitimate()
-	}
-	return false
+	r.wasLegit = legit
 }
 
 // Start arms the witness, spawns one actor goroutine per node plus the
@@ -407,11 +345,6 @@ func (r *Runtime) Start() error {
 		return errors.New("actor: runtime already started")
 	}
 	r.mu.Lock()
-	if w, ok := r.proto.(program.Witness); ok {
-		w.WitnessReset()
-		r.witness = w
-	}
-	r.rescanEnabledLocked()
 	r.wasLegit = r.legitimateLocked()
 	n := r.g.N()
 	r.mu.Unlock()
@@ -465,7 +398,7 @@ func (r *Runtime) Run(ctx context.Context, pred func() bool, timeout time.Durati
 // holds, O(1) per check off the armed witness. A protocol without a
 // legitimacy predicate is an error, returned before anything starts.
 func (r *Runtime) RunUntilLegitimate(ctx context.Context, timeout time.Duration) error {
-	if r.leg == nil {
+	if _, ok := r.proto.(program.Legitimacy); !ok {
 		return fmt.Errorf("actor: protocol %q has no legitimacy predicate", r.proto.Name())
 	}
 	return r.Run(ctx, r.legitimateLocked, timeout)
@@ -487,12 +420,8 @@ func (r *Runtime) supervise() {
 		case <-t.C:
 			r.flushHeld()
 			r.mu.Lock()
-			prod := r.enabledN > 0
-			legit := r.legitimateLocked()
-			if legit && !r.wasLegit {
-				r.convergences.Add(1)
-			}
-			r.wasLegit = legit
+			prod := r.sys.EnabledCount() > 0
+			r.observeLocked()
 			r.mu.Unlock()
 			if prod {
 				r.tickAll()
@@ -666,13 +595,18 @@ func (r *Runtime) tryMove(v graph.NodeID, rng *rand.Rand, seen map[graph.NodeID]
 			// state is evaluating on v's local view.
 			guardBuf = r.proto.Enabled(v, guardBuf[:0])
 			if len(guardBuf) > 0 {
-				a := guardBuf[rng.Intn(len(guardBuf))]
-				if r.proto.Execute(v, a) {
+				r.gate.mv[0] = program.Move{Node: v, Action: guardBuf[rng.Intn(len(guardBuf))]}
+				if n, _ := r.sys.Step(); n == 1 {
 					fired = true
 					r.ver[v]++
 					verNow = r.ver[v]
-					r.moves.Add(1)
-					r.afterMoveLocked(v, a)
+					// With a witness the legitimacy probe is O(1), so
+					// convergence transitions are counted move-accurately
+					// here; without one the supervisor counts them at tick
+					// granularity.
+					if r.perMove {
+						r.observeLocked()
+					}
 				}
 			}
 		}
@@ -702,11 +636,11 @@ func (r *Runtime) Legitimate() bool {
 }
 
 // EnabledCount returns the number of currently enabled processors,
-// from the incrementally maintained cache.
+// from the System's incrementally maintained cache.
 func (r *Runtime) EnabledCount() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.enabledN
+	return r.sys.EnabledCount()
 }
 
 // EnabledNodes appends the currently enabled processors to buf in
@@ -714,16 +648,15 @@ func (r *Runtime) EnabledCount() int {
 func (r *Runtime) EnabledNodes(buf []graph.NodeID) []graph.NodeID {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for v, on := range r.enabled {
-		if on {
-			buf = append(buf, graph.NodeID(v))
-		}
-	}
-	return buf
+	return r.sys.EnabledNodes(buf)
 }
 
 // Moves returns the number of protocol moves fired so far.
-func (r *Runtime) Moves() int64 { return r.moves.Load() }
+func (r *Runtime) Moves() int64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.sys.Moves()
+}
 
 // Locked runs f while holding the state mutex, giving admin callers a
 // consistent read (or fault write) against the protocol configuration.
@@ -756,7 +689,7 @@ func (r *Runtime) InitialSnapshot() []byte { return r.initSnap }
 func (r *Runtime) MoveLog() []program.Move {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if !r.recordOK {
+	if r.sys.MoveHook == nil {
 		return nil
 	}
 	out := make([]program.Move, len(r.moveLog))
@@ -767,12 +700,10 @@ func (r *Runtime) MoveLog() []program.Move {
 // Metrics snapshots the runtime counters.
 func (r *Runtime) Metrics() Metrics {
 	r.mu.Lock()
-	en := r.enabledN
+	en := r.sys.EnabledCount()
 	legit := r.legitimateLocked()
+	moves := r.sys.Moves()
 	logLen := len(r.moveLog)
-	if !r.recordOK {
-		logLen = 0
-	}
 	r.mu.Unlock()
 	return Metrics{
 		Sent:         r.sent.Load(),
@@ -784,7 +715,7 @@ func (r *Runtime) Metrics() Metrics {
 		Requests:     r.requests.Load(),
 		States:       r.statesSent.Load(),
 		Ticks:        r.ticks.Load(),
-		Moves:        r.moves.Load(),
+		Moves:        moves,
 		Convergences: r.convergences.Load(),
 		EnabledCount: en,
 		Legitimate:   legit,
@@ -793,42 +724,41 @@ func (r *Runtime) Metrics() Metrics {
 	}
 }
 
-// CorruptNode injects a transient fault into v's local state under the
-// state mutex, using the runtime's admin RNG. The witness is re-armed
-// conservatively, the enabled cache rescanned, v's version bumped so
-// its ball resyncs, and the projection recording invalidated.
+// CorruptNode injects a transient fault into live node v's local state
+// under the state mutex, using the runtime's admin RNG. A dead or
+// out-of-range v is an error. The System is invalidated (its enabled
+// cache and witness are rebuilt on the next query), v's version bumped
+// so its ball resyncs, and the projection recording invalidated.
 func (r *Runtime) CorruptNode(v graph.NodeID) error {
 	nc, ok := r.proto.(program.NodeCorruptor)
 	if !ok {
 		return fmt.Errorf("actor: %s does not implement NodeCorruptor", r.proto.Name())
 	}
 	r.mu.Lock()
-	if v < 0 || int(v) >= r.g.N() {
+	if v < 0 || int(v) >= r.g.N() || !r.g.Alive(v) {
 		r.mu.Unlock()
-		return fmt.Errorf("actor: corrupt: node %d out of range", v)
+		return fmt.Errorf("actor: corrupt: node %d out of range or dead", v)
 	}
 	nc.CorruptNode(v, r.adminRng)
 	r.ver[v]++
-	if r.witness != nil {
-		r.witness.WitnessReset()
-	}
-	r.rescanEnabledLocked()
-	r.recordOK = false
+	r.sys.Invalidate()
+	r.sys.MoveHook, r.moveLog = nil, nil
 	r.mu.Unlock()
 	r.tickAll()
 	return nil
 }
 
 // Mutate applies one topology mutation to the protocol's graph and
-// incorporates the delta f returns: protocol hook, array growth, ball
-// and link reconciliation, conservative witness re-arm and enabled
-// rescan, and a global version bump so every node resynchronizes its
-// view. f runs under the state mutex and the reconciliation follows
-// under the same hold, so no actor ever steps against a mutated but
-// unreconciled graph; f must not call back into the runtime. If f
-// fails, nothing is reconciled and its error is returned. Topology
-// mutations are admin-rate events; this is deliberately the
-// heavyweight safe path, and it invalidates the projection recording.
+// incorporates the delta f returns. System.ApplyDelta repairs the
+// enabled cache and the witness over the delta's ball only, exactly as
+// on the serial engine. The per-node arrays grow with the id space,
+// but every ball and the whole link map are still rebuilt, and every
+// version is bumped so every node resynchronizes its view. f runs
+// under the state mutex and the reconciliation follows under the same
+// hold, so no actor ever steps against a mutated but unreconciled
+// graph; f must not call back into the runtime. If f fails, nothing is
+// reconciled and its error is returned. Mutate invalidates the
+// projection recording.
 func (r *Runtime) Mutate(f func() (graph.Delta, error)) error {
 	r.mu.Lock()
 	d, err := f()
@@ -836,24 +766,17 @@ func (r *Runtime) Mutate(f func() (graph.Delta, error)) error {
 		r.mu.Unlock()
 		return err
 	}
-	if ta, ok := r.proto.(program.TopologyAware); ok {
-		r.taBuf = ta.TopologyChanged(d, r.taBuf[:0])
-	}
+	r.sys.ApplyDelta(d)
 	n := r.g.N()
 	for len(r.ver) < n {
 		r.ver = append(r.ver, 0)
-		r.enabled = append(r.enabled, false)
 		r.ball = append(r.ball, nil)
 	}
 	r.rebuildBallsLocked()
 	for v := range r.ver {
 		r.ver[v]++
 	}
-	if r.witness != nil {
-		r.witness.WitnessReset()
-	}
-	r.rescanEnabledLocked()
-	r.recordOK = false
+	r.sys.MoveHook, r.moveLog = nil, nil
 
 	r.linkMu.Lock()
 	for len(r.mbox) < n {

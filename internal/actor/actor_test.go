@@ -3,12 +3,16 @@ package actor
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
 	"netorient/internal/core"
+	"netorient/internal/daemon"
+	"netorient/internal/failover"
 	"netorient/internal/graph"
 	"netorient/internal/program"
 	"netorient/internal/spantree"
@@ -635,4 +639,117 @@ func TestLifecycleExitPathsLeaveNoGoroutines(t *testing.T) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
 	waitNoLeak(t, before, 5*time.Second)
+}
+
+// TestAdminRepairMatchesScan drives the admin surface of a runtime that
+// is not running, over failover-wrapped radius-2 stacks on a grid, and
+// after every delta and corruption compares the System's repaired state
+// with a from-scratch evaluation: EnabledNodes against a guard scan of
+// the live nodes, and Legitimate (the witness) against the protocol's
+// O(n) Legitimate. A Mutate repair ball that misses a node whose guard
+// or witness contribution changed fails the comparison.
+func TestAdminRepairMatchesScan(t *testing.T) {
+	for _, name := range []string{"dftno", "stno"} {
+		t.Run(name, func(t *testing.T) {
+			g := graph.Grid(5, 5)
+			var in failover.Inner
+			var err error
+			if name == "dftno" {
+				var sub *token.Circulator
+				if sub, err = token.NewCirculator(g, 0); err == nil {
+					in, err = core.NewDFTNO(g, sub, 0)
+				}
+			} else {
+				var sub *spantree.BFSTree
+				if sub, err = spantree.NewBFSTree(g, 0); err == nil {
+					in, err = core.NewSTNO(g, sub, 0)
+				}
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := failover.New(g, in, 0)
+			if r := program.ProtocolRadius(p); r != 2 {
+				t.Fatalf("radius %d, want 2", r)
+			}
+			// Converge serially first, so the runtime starts from the
+			// legitimate configuration the service repairs from.
+			if res, err := program.NewSystem(p, daemon.NewCentral(5)).RunUntilLegitimate(1 << 22); err != nil || !res.Converged {
+				t.Fatalf("serial convergence: %v %+v", err, res)
+			}
+			rt, err := New(p, Config{Seed: 5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			check := func(what string) {
+				t.Helper()
+				var want []graph.NodeID
+				var scan bool
+				rt.Locked(func() {
+					for v := 0; v < g.N(); v++ {
+						if id := graph.NodeID(v); g.Alive(id) && len(p.Enabled(id, nil)) > 0 {
+							want = append(want, id)
+						}
+					}
+					scan = p.Legitimate()
+				})
+				if got := rt.EnabledNodes(nil); !slices.Equal(got, want) {
+					t.Fatalf("after %s: EnabledNodes %v, guard scan %v", what, got, want)
+				}
+				if got := rt.Legitimate(); got != scan {
+					t.Fatalf("after %s: Legitimate %v, scan %v", what, got, scan)
+				}
+			}
+			mutate := func(what string, f func() (graph.Delta, error)) {
+				t.Helper()
+				if err := rt.Mutate(f); err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				check(what)
+			}
+			edge := func(add bool, u, v graph.NodeID) func() (graph.Delta, error) {
+				if add {
+					return func() (graph.Delta, error) { return g.AddEdge(u, v) }
+				}
+				return func() (graph.Delta, error) { return g.RemoveEdge(u, v) }
+			}
+			check("start")
+			if !rt.Legitimate() {
+				t.Fatal("not legitimate at start")
+			}
+			mutate("flap down 12-13", edge(false, 12, 13))
+			mutate("flap up 12-13", edge(true, 12, 13))
+			// Cut corner 24 off, then heal it.
+			mutate("cut 19-24", edge(false, 19, 24))
+			mutate("cut 23-24", edge(false, 23, 24))
+			mutate("heal 23-24", edge(true, 23, 24))
+			mutate("heal 19-24", edge(true, 19, 24))
+			mutate("crash-root", func() (graph.Delta, error) { return g.RemoveNode(0) })
+			mutate("revive", func() (graph.Delta, error) {
+				id, d := g.AddNode()
+				if id != 0 {
+					t.Fatalf("revive reclaimed slot %d, want 0", id)
+				}
+				return d, nil
+			})
+			mutate("heal 0-1", edge(true, 0, 1))
+			mutate("heal 0-5", edge(true, 0, 5))
+			mutate("grow", func() (graph.Delta, error) {
+				id, d := g.AddNode()
+				if int(id) != 25 {
+					t.Fatalf("AddNode returned %d, want the fresh id 25", id)
+				}
+				return d, nil
+			})
+			mutate("link 24-25", edge(true, 24, 25))
+			for _, v := range []graph.NodeID{0, 12, 25} {
+				if err := rt.CorruptNode(v); err != nil {
+					t.Fatal(err)
+				}
+				check(fmt.Sprintf("corrupt %d", v))
+			}
+			mutate("flap down 6-7", edge(false, 6, 7))
+			mutate("flap up 6-7", edge(true, 6, 7))
+		})
+	}
 }

@@ -301,6 +301,29 @@ func (r *Runner) Soak(p Failover, cfg SoakConfig) (SoakStats, error) {
 	var cuts []func() error // partition restore closures, FIFO
 	var rootRestore func() error
 	rootDownLeft := 0
+	// CutDown's restore skips cut edges with a dead endpoint, and
+	// CrashDown's revive re-adds only the edges the root had when it
+	// crashed. A cut healed while the root is down would lose its
+	// root-incident edges for good, so the heal parks them here and the
+	// revive re-adds them.
+	var parked []graph.Edge
+	revive := func() error {
+		if err := rootRestore(); err != nil {
+			return err
+		}
+		rootRestore = nil
+		for _, e := range parked {
+			if g.Alive(e.U) && g.Alive(e.V) && !g.HasEdge(e.U, e.V) {
+				d, err := g.AddEdge(e.U, e.V)
+				if err != nil {
+					return err
+				}
+				apply(d)
+			}
+		}
+		parked = parked[:0]
+		return nil
+	}
 
 	trySplit := func(force bool) (string, bool, error) {
 		if !force && len(cuts) >= cfg.MaxCuts {
@@ -315,7 +338,14 @@ func (r *Runner) Soak(p Failover, cfg SoakConfig) (SoakStats, error) {
 		if err != nil {
 			return "", false, err
 		}
-		cuts = append(cuts, restore)
+		cuts = append(cuts, func() error {
+			for _, e := range cut {
+				if !g.Alive(e.U) || !g.Alive(e.V) {
+					parked = append(parked, e)
+				}
+			}
+			return restore()
+		})
 		return fmt.Sprintf("split:%d-edges", len(cut)), true, nil
 	}
 	heal := func() (string, bool, error) {
@@ -365,10 +395,9 @@ func (r *Runner) Soak(p Failover, cfg SoakConfig) (SoakStats, error) {
 		if rootRestore != nil {
 			rootDownLeft--
 			if rootDownLeft <= 0 {
-				if err := rootRestore(); err != nil {
+				if err := revive(); err != nil {
 					return st, err
 				}
-				rootRestore = nil
 				op, did = "root-revive", true
 			}
 		}
@@ -430,10 +459,9 @@ func (r *Runner) Soak(p Failover, cfg SoakConfig) (SoakStats, error) {
 	// all but LeaveSplit cuts — one measured phase each, so heal-time
 	// abdication is checked at every merge.
 	if rootRestore != nil {
-		if err := rootRestore(); err != nil {
+		if err := revive(); err != nil {
 			return st, err
 		}
-		rootRestore = nil
 		if err := runPhase(phase, "final-root-revive"); err != nil {
 			return st, err
 		}

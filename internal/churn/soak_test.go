@@ -264,3 +264,34 @@ func TestSoakSurvivesIdleStep(t *testing.T) {
 		t.Fatalf("soak violations:\n%v", st.Violations)
 	}
 }
+
+// TestSoakHealWhileRootDownKeepsRootEdges: a cut healed while the root
+// is crashed cannot re-add its root-incident edges, and the root's
+// revive only re-adds the edges it had when it crashed. The soak must
+// re-add the skipped edges on the revive, so that healing every cut
+// restores the whole original graph. Seed 3 heals such a cut.
+func TestSoakHealWhileRootDownKeepsRootEdges(t *testing.T) {
+	t.Parallel()
+	g := graph.Lollipop(6, 6)
+	want := g.Edges()
+	r, p := soakRunner(t, "bfstree", g, 3)
+	st, err := r.Soak(p, churn.SoakConfig{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.Ok() {
+		t.Fatalf("soak violations:\n%v", st.Violations)
+	}
+	if st.FinalComponents != 1 {
+		t.Fatalf("final components %d, want 1", st.FinalComponents)
+	}
+	var missing []graph.Edge
+	for _, e := range want {
+		if !g.HasEdge(e.U, e.V) {
+			missing = append(missing, e)
+		}
+	}
+	if len(missing) > 0 || g.M() != len(want) {
+		t.Fatalf("final graph has %d edges, want %d; missing %v", g.M(), len(want), missing)
+	}
+}

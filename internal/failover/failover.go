@@ -582,19 +582,21 @@ func (p *Protocol) WitnessLegitimate() bool {
 	return p.in.Legitimate()
 }
 
-// TopologyChanged implements program.TopologyAware: forward to the
-// wrapped stack first, grow node-indexed arrays if the id space grew,
-// and conservatively treat every node-liveness delta as a potential
+// TopologyChanged implements program.TopologyAware: grow node-indexed
+// arrays if the id space grew, forward to the wrapped stack, and
+// conservatively treat every node-liveness delta as a potential
 // verdict flip — the fixed root dying or reviving, the bound N
 // growing, a RootEpoch bump — by bumping the authority version and
 // invalidating the wrapper's witness (its clauses read the bound and
-// the root's epoch). The returned ball is the radius-2 ball of the
-// touched set, matching the Influence declaration.
+// the root's epoch). The arrays grow first because the wrapped stack's
+// hook may query the authority (IsRoot) at the new ids. The returned
+// ball is the radius-2 ball of the touched set, matching the Influence
+// declaration, except on growth: the guards read the bound N, so the
+// ball is then every node.
 func (p *Protocol) TopologyChanged(d graph.Delta, buf []graph.NodeID) []graph.NodeID {
-	if ta, ok := p.in.(program.TopologyAware); ok {
-		buf = ta.TopologyChanged(d, buf)
-	}
-	if n := p.g.N(); len(p.dist) < n {
+	n := p.g.N()
+	grew := len(p.dist) < n
+	if grew {
 		for len(p.dist) < n {
 			p.dist = append(p.dist, 0)
 			p.epoch = append(p.epoch, 0)
@@ -608,9 +610,20 @@ func (p *Protocol) TopologyChanged(d graph.Delta, buf []graph.NodeID) []graph.No
 		p.rootsVer++ // the bound N grew: saturated counters are no longer saturated
 		p.wit.Invalidate()
 	}
+	if ta, ok := p.in.(program.TopologyAware); ok {
+		buf = ta.TopologyChanged(d, buf)
+	}
 	if d.Kind == graph.NodeAdded || d.Kind == graph.NodeRemoved {
 		p.rootsVer++
 		p.wit.Invalidate()
+	}
+	if grew {
+		// The wrapper's guards read the bound N, so a guard anywhere
+		// may have changed, not only near the touched set.
+		for v := 0; v < n; v++ {
+			buf = append(buf, graph.NodeID(v))
+		}
+		return buf
 	}
 	for _, v := range d.Touched {
 		buf = program.InfluenceBall(p.g, v, 2, buf)

@@ -286,3 +286,30 @@ func TestBadConfig(t *testing.T) {
 		}
 	}
 }
+
+// TestCorruptRejectsDeadNode: after crash-root, corrupting the dead
+// root answers ok:false on both engines, and corrupting a live node
+// still succeeds.
+func TestCorruptRejectsDeadNode(t *testing.T) {
+	t.Parallel()
+	for _, engine := range []struct {
+		name    string
+		workers int
+	}{{"actor", 0}, {"parallel", 2}} {
+		engine := engine
+		t.Run(engine.name, func(t *testing.T) {
+			t.Parallel()
+			cl := serveTestServer(t, orientd.Config{GraphSpec: "path:6", Stack: "bfstree", Seed: 3, Workers: engine.workers})
+			waitLegit(t, cl, "initial")
+			if err := cl.Do(orientd.Request{Op: "crash-root"}, nil); err != nil {
+				t.Fatal(err)
+			}
+			if err := cl.Do(orientd.Request{Op: "corrupt", Node: 0}, nil); err == nil {
+				t.Fatal("corrupt of the crashed root answered ok")
+			}
+			if err := cl.Do(orientd.Request{Op: "corrupt", Node: 3}, nil); err != nil {
+				t.Fatalf("corrupt of a live node: %v", err)
+			}
+		})
+	}
+}

@@ -13,6 +13,7 @@ package program_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"netorient/internal/core"
@@ -127,6 +128,9 @@ func TestSchedulerEquivalence(t *testing.T) {
 						}
 						if nInc != nFull {
 							t.Fatalf("step %d: fired %d moves incrementally, %d under full scan", i, nInc, nFull)
+						}
+						if a, b := inc.EnabledNodes(nil), full.EnabledNodes(nil); !slices.Equal(a, b) {
+							t.Fatalf("step %d: enabled nodes diverge: %v vs %v", i, a, b)
 						}
 						if nInc == 0 {
 							break

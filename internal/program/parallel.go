@@ -1114,31 +1114,7 @@ func (ps *ParallelSystem) Invalidate() {
 // becomes terminal, or maxSteps parallel steps have been taken. pred
 // runs serially between steps.
 func (ps *ParallelSystem) RunUntil(pred func() bool, maxSteps int64) (RunResult, error) {
-	start := RunResult{Moves: ps.moves, Steps: ps.steps, Rounds: ps.rounds}
-	mk := func(conv bool) RunResult {
-		return RunResult{
-			Converged: conv,
-			Moves:     ps.moves - start.Moves,
-			Steps:     ps.steps - start.Steps,
-			Rounds:    ps.rounds - start.Rounds,
-		}
-	}
-	if pred() {
-		return mk(true), nil
-	}
-	for i := int64(0); i < maxSteps; i++ {
-		_, err := ps.Step()
-		if err != nil {
-			return mk(false), err
-		}
-		if pred() {
-			return mk(true), nil
-		}
-		if ps.count == 0 {
-			return mk(false), nil
-		}
-	}
-	return mk(false), nil
+	return runUntil(ps, pred, maxSteps)
 }
 
 // RunUntilLegitimate runs until the protocol's legitimacy predicate

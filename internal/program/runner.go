@@ -684,32 +684,7 @@ type RunResult struct {
 // becomes terminal, or maxSteps steps have been taken. pred is checked
 // on the initial configuration and after every step.
 func (s *System) RunUntil(pred func() bool, maxSteps int64) (RunResult, error) {
-	start := RunResult{Moves: s.moves, Steps: s.steps, Rounds: s.rounds}
-	mk := func(conv bool) RunResult {
-		return RunResult{
-			Converged: conv,
-			Moves:     s.moves - start.Moves,
-			Steps:     s.steps - start.Steps,
-			Rounds:    s.rounds - start.Rounds,
-		}
-	}
-	if pred() {
-		return mk(true), nil
-	}
-	for i := int64(0); i < maxSteps; i++ {
-		n, err := s.Step()
-		if err != nil {
-			return mk(false), err
-		}
-		if pred() {
-			return mk(true), nil
-		}
-		if n == 0 {
-			// Terminal configuration that does not satisfy pred.
-			return mk(false), nil
-		}
-	}
-	return mk(false), nil
+	return runUntil(s, pred, maxSteps)
 }
 
 // RunUntilLegitimate runs until the protocol's legitimacy predicate
@@ -743,22 +718,7 @@ func (s *System) armWitness(w Witness) {
 // times and reports whether the predicate held after every step. The
 // system must currently satisfy pred.
 func (s *System) HoldsFor(pred func() bool, steps int64) (bool, error) {
-	if !pred() {
-		return false, nil
-	}
-	for i := int64(0); i < steps; i++ {
-		n, err := s.Step()
-		if err != nil {
-			return false, err
-		}
-		if !pred() {
-			return false, nil
-		}
-		if n == 0 {
-			return true, nil
-		}
-	}
-	return true, nil
+	return holdsFor(s, pred, steps)
 }
 
 // Silent reports whether no action is enabled anywhere.
@@ -773,4 +733,22 @@ func (s *System) EnabledCount() int {
 	}
 	s.ensureInit()
 	return s.count
+}
+
+// EnabledNodes appends the ids of all currently enabled processors in
+// ascending order and returns the extended slice.
+func (s *System) EnabledNodes(buf []graph.NodeID) []graph.NodeID {
+	if s.fullScan {
+		for _, c := range s.enabledCandidates() {
+			buf = append(buf, c.Node)
+		}
+		return buf
+	}
+	s.ensureInit()
+	for v, on := range s.enabled {
+		if on {
+			buf = append(buf, graph.NodeID(v))
+		}
+	}
+	return buf
 }

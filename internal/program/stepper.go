@@ -65,21 +65,64 @@ func (s *System) FullScan() bool { return s.fullScan }
 
 // HoldsFor verifies closure empirically on the parallel engine: it
 // steps the system extra times and reports whether the predicate held
-// after every step (checked serially between parallel steps), ending
-// early only once the configuration is terminal. The system must
-// currently satisfy pred.
+// after every step (checked serially between parallel steps). The
+// system must currently satisfy pred.
 func (ps *ParallelSystem) HoldsFor(pred func() bool, steps int64) (bool, error) {
+	return holdsFor(ps, pred, steps)
+}
+
+// runUntil is the run loop of every engine: step st until pred holds,
+// the configuration is terminal, or maxSteps steps have been taken.
+// pred is checked on the initial configuration and after every step.
+//
+// A 0-move step alone is not terminal: under ParallelSystem with
+// Activation < 1 it can activate nobody while processors stay enabled.
+// On the serial engine a 0-move step already means nothing is
+// enabled, so the count is read only after one.
+func runUntil(st Stepper, pred func() bool, maxSteps int64) (RunResult, error) {
+	moves, steps, rounds := st.Moves(), st.Steps(), st.Rounds()
+	mk := func(conv bool) RunResult {
+		return RunResult{
+			Converged: conv,
+			Moves:     st.Moves() - moves,
+			Steps:     st.Steps() - steps,
+			Rounds:    st.Rounds() - rounds,
+		}
+	}
+	if pred() {
+		return mk(true), nil
+	}
+	for i := int64(0); i < maxSteps; i++ {
+		n, err := st.Step()
+		if err != nil {
+			return mk(false), err
+		}
+		if pred() {
+			return mk(true), nil
+		}
+		if n == 0 && st.EnabledCount() == 0 {
+			return mk(false), nil
+		}
+	}
+	return mk(false), nil
+}
+
+// holdsFor steps st up to steps times and reports whether pred, which
+// must hold now, held after every step. It ends early, successfully,
+// once the configuration is terminal.
+func holdsFor(st Stepper, pred func() bool, steps int64) (bool, error) {
 	if !pred() {
 		return false, nil
 	}
 	for i := int64(0); i < steps; i++ {
-		if _, err := ps.Step(); err != nil {
+		n, err := st.Step()
+		if err != nil {
 			return false, err
 		}
 		if !pred() {
 			return false, nil
 		}
-		if ps.count == 0 {
+		if n == 0 && st.EnabledCount() == 0 {
 			return true, nil
 		}
 	}
