@@ -279,11 +279,15 @@
 // the *daemon-projection guarantee*: the mutex order of fired moves is
 // a legal central-daemon execution of the same protocol, so every
 // safety and convergence property proved in the daemon model
-// transfers to the message runtime. Admin topology mutations repair
-// the guard cache and the witness through System.ApplyDelta, local to
-// the delta's ball as on the serial engine; the runtime's per-node
-// influence balls and its link map are still rebuilt whole. The
-// projection guarantee is checked, not assumed —
+// transfers to the message runtime. Admin topology mutations are
+// repaired local to the delta: System.ApplyDelta repairs the guard
+// cache and the witness over the delta's ball as on the serial engine,
+// only the nodes it repaired get a new version, and the runtime
+// recomputes the influence balls and links of the touched nodes and
+// their pre-mutation balls only. A link's fault stream is a splitmix64
+// state seeded from the runtime seed and the link's key, so a
+// re-created link restarts it without an allocation. The projection
+// guarantee is checked, not assumed —
 // actor.CheckProjection replays each recorded execution move-for-move
 // on a serial full-scan oracle through program.ScriptDaemon (every
 // replayed move must be enabled when scheduled) and requires

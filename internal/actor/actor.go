@@ -19,12 +19,14 @@
 // the serial engine itself: its enabled cache, witness and move
 // counters are the runtime's, every fired move is one System.Step, and
 // a topology delta is repaired by System.ApplyDelta over the delta's
-// ball, as on the serial engine. Each node v carries a
+// ball, as on the serial engine; the runtime's own balls and links are
+// repaired near the delta only (see Mutate). Each node v carries a
 // version counter ver[v], bumped under the mutex whenever v fires a
-// move, and each actor maintains seen[v][q] — the newest version of q
-// it has been *told about by a message*. The freshness gate: actor v
-// may evaluate and fire only while holding the mutex AND seen[v][q] ==
-// ver[q] for every q in v's radius-R influence ball. When the gate
+// move or a delta's repair may have changed its state, and each actor
+// maintains seen[v][q] — the newest version of q it has been *told
+// about by a message*. The freshness gate: actor v may evaluate and
+// fire only while holding the mutex AND seen[v][q] == ver[q] for every
+// q in v's radius-R influence ball. When the gate
 // holds, v's message-derived knowledge of its ball coincides with the
 // true configuration, so evaluating the guards on the true state is
 // identical to evaluating them on v's local view — the evaluation is
@@ -98,7 +100,11 @@ type message struct {
 
 // Config parameterizes the runtime.
 type Config struct {
-	// Seed derives every per-actor and per-link RNG stream.
+	// Seed derives every per-actor RNG stream and every per-link
+	// fault stream. A link's stream is an inline splitmix64 state
+	// seeded from (Seed, link key), so a link deleted by one topology
+	// delta and re-created by another restarts the same stream, with
+	// no allocation.
 	Seed int64
 	// Mailbox is the per-node mailbox capacity (bounded channel).
 	// Defaults to 64; minimum 1. Sends to a full mailbox are dropped
@@ -145,9 +151,20 @@ type Metrics struct {
 
 type link struct {
 	mu   sync.Mutex
-	rng  *rand.Rand
+	rng  uint64 // splitmix64 state of the link's fault stream: Seed ^ link key at creation
 	hold []message
 	dst  chan message
+}
+
+// float64 draws the link's next fault decision, uniform in [0, 1):
+// one splitmix64 step. Its output mixing decorrelates the streams of
+// links whose seeds differ in only a few bits.
+func (l *link) float64() float64 {
+	l.rng += 0x9e3779b97f4a7c15
+	z := l.rng
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return float64((z^(z>>31))>>11) / (1 << 53)
 }
 
 type runState int32
@@ -175,10 +192,10 @@ type Runtime struct {
 
 	// mu is the state mutex. The authoritative state is sys, a
 	// program.System over the protocol: the configuration, the
-	// enabled cache, the witness and the move counters. ver, ball and
-	// the move log live under mu too. The graph is only read under it,
-	// because admin topology mutations (Mutate) happen while it is
-	// held.
+	// enabled cache, the witness and the move counters. ver, ball,
+	// the repair scratch and the move log live under mu too. The graph
+	// is only read under it, because admin topology mutations (Mutate)
+	// happen while it is held.
 	mu       sync.Mutex
 	sys      *program.System
 	gate     gateDaemon
@@ -192,9 +209,12 @@ type Runtime struct {
 	stopped  bool
 	pred     func() bool
 	infBuf   []graph.NodeID
+	mark     []uint64 // epoch stamps deduplicating node sets in Mutate's repair
+	epoch    uint64
+	affected []graph.NodeID // the nodes whose ball and links Mutate repairs
 
-	// linkMu guards the link map and the mbox slice (both mutated by
-	// topology growth). Lock order: mu before linkMu.
+	// linkMu guards the link map and the mbox slice (both edited in
+	// place by Mutate). Lock order: mu before linkMu.
 	linkMu sync.RWMutex
 	links  map[uint64]*link
 	mbox   []chan message
@@ -255,69 +275,60 @@ func New(p program.Protocol, cfg Config) (*Runtime, error) {
 		r.initSnap = sn.Snapshot()
 		r.sys.MoveHook = func(m program.Move) { r.moveLog = append(r.moveLog, m) }
 	}
-	n := r.g.N()
-	r.ver = make([]uint64, n)
-	r.ball = make([][]graph.NodeID, n)
-	r.rebuildBallsLocked()
-	r.mbox = make([]chan message, n)
-	for v := 0; v < n; v++ {
-		r.mbox[v] = make(chan message, cfg.Mailbox)
+	r.growLocked()
+	for v := range r.ball {
+		r.repairLocked(graph.NodeID(v))
 	}
-	r.rebuildLinksLocked()
 	return r, nil
 }
 
 // Protocol returns the protocol under execution.
 func (r *Runtime) Protocol() program.Protocol { return r.proto }
 
-// rebuildBallsLocked recomputes every node's radius-R ball (self
-// excluded). Caller holds mu (or is New).
-func (r *Runtime) rebuildBallsLocked() {
-	for v := 0; v < r.g.N(); v++ {
-		id := graph.NodeID(v)
-		r.infBuf = program.InfluenceBall(r.g, id, r.radius, r.infBuf[:0])
-		b := r.ball[v][:0]
-		for _, q := range r.infBuf {
-			if q != id && q != graph.None {
-				b = append(b, q)
-			}
+// growLocked extends the per-node arrays and mailboxes to the graph's
+// id space, starting an actor for each new node if the runtime is
+// running. Caller holds mu and linkMu (or is New).
+func (r *Runtime) growLocked() {
+	for v := len(r.ver); v < r.g.N(); v++ {
+		r.ver = append(r.ver, 0)
+		r.ball = append(r.ball, nil)
+		r.mark = append(r.mark, 0)
+		r.mbox = append(r.mbox, make(chan message, r.cfg.Mailbox))
+		if r.state.Load() == int32(stateRunning) {
+			r.wg.Add(1)
+			go r.actor(graph.NodeID(v), r.mbox[v], rand.New(rand.NewSource(r.cfg.Seed+int64(v))))
 		}
-		r.ball[v] = b
 	}
 }
 
-// rebuildLinksLocked reconciles the directed-link map with the graph's
-// current ball structure. Caller holds mu (or is New); takes linkMu.
-// Links span the whole ball, not just the 1-hop neighborhood, so
-// radius-2 protocols can broadcast and request across two hops; on the
-// wire that is a relay, here it is modeled as a (faulty) virtual link.
-func (r *Runtime) rebuildLinksLocked() {
-	r.linkMu.Lock()
-	defer r.linkMu.Unlock()
-	want := map[uint64]graph.NodeID{}
-	for v := 0; v < r.g.N(); v++ {
-		if !r.g.Alive(graph.NodeID(v)) {
+// repairLocked recomputes w's radius-R ball (self excluded) and
+// reconciles w's outgoing links with it: links to nodes that left the
+// ball are deleted, links to nodes that entered it are created. A dead
+// node's ball is empty, so it loses every link. Links span the whole
+// ball, not just the 1-hop neighborhood, so radius-2 protocols can
+// broadcast and request across two hops; on the wire that is a relay,
+// here it is modeled as a (faulty) virtual link. Caller holds mu and
+// linkMu (or is New).
+func (r *Runtime) repairLocked(w graph.NodeID) {
+	r.epoch++
+	r.infBuf = program.InfluenceBall(r.g, w, r.radius, r.infBuf[:0])
+	b := r.infBuf[:0]
+	for _, q := range r.infBuf {
+		if q == w {
 			continue
 		}
-		for _, q := range r.ball[v] {
-			if r.g.Alive(q) {
-				want[linkKey(graph.NodeID(v), q)] = q
-			}
+		r.mark[q] = r.epoch
+		b = append(b, q)
+		if k := linkKey(w, q); r.links[k] == nil {
+			r.links[k] = &link{rng: uint64(r.cfg.Seed) ^ k, dst: r.mbox[q]}
 		}
 	}
-	for k := range r.links {
-		if _, ok := want[k]; !ok {
-			delete(r.links, k)
+	for _, q := range r.ball[w] {
+		if r.mark[q] != r.epoch {
+			delete(r.links, linkKey(w, q))
 		}
 	}
-	for k, dst := range want {
-		if _, ok := r.links[k]; !ok {
-			r.links[k] = &link{
-				rng: rand.New(rand.NewSource(r.cfg.Seed ^ int64(k*0x9e3779b97f4a7c15))),
-				dst: r.mbox[dst],
-			}
-		}
-	}
+	r.ball[w] = append(r.ball[w][:0], b...)
 }
 
 // legitimateLocked evaluates legitimacy: O(1) off the System's
@@ -346,13 +357,14 @@ func (r *Runtime) Start() error {
 	}
 	r.mu.Lock()
 	r.wasLegit = r.legitimateLocked()
-	n := r.g.N()
 	r.mu.Unlock()
 
-	for v := 0; v < n; v++ {
+	r.linkMu.RLock()
+	for v, mb := range r.mbox {
 		r.wg.Add(1)
-		go r.actor(graph.NodeID(v), rand.New(rand.NewSource(r.cfg.Seed+int64(v))))
+		go r.actor(graph.NodeID(v), mb, rand.New(rand.NewSource(r.cfg.Seed+int64(v))))
 	}
+	r.linkMu.RUnlock()
 	r.wg.Add(1)
 	go r.supervise()
 	r.tickAll()
@@ -505,11 +517,11 @@ func (r *Runtime) send(u, q graph.NodeID, m message) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if r.cfg.Drop > 0 && l.rng.Float64() < r.cfg.Drop {
+	if r.cfg.Drop > 0 && l.float64() < r.cfg.Drop {
 		r.droppedFault.Add(1)
 		return
 	}
-	if r.cfg.Reorder > 0 && len(l.hold) < r.cfg.HoldMax && l.rng.Float64() < r.cfg.Reorder {
+	if r.cfg.Reorder > 0 && len(l.hold) < r.cfg.HoldMax && l.float64() < r.cfg.Reorder {
 		l.hold = append(l.hold, m)
 		r.held.Add(1)
 		return
@@ -517,7 +529,7 @@ func (r *Runtime) send(u, q graph.NodeID, m message) {
 	r.deliver(l.dst, m)
 	// Releasing held messages *after* the one just delivered is what
 	// realizes reordering on the FIFO channel.
-	for len(l.hold) > 0 && l.rng.Float64() < 0.5 {
+	for len(l.hold) > 0 && l.float64() < 0.5 {
 		r.deliver(l.dst, l.hold[0])
 		copy(l.hold, l.hold[1:])
 		l.hold = l.hold[:len(l.hold)-1]
@@ -526,7 +538,7 @@ func (r *Runtime) send(u, q graph.NodeID, m message) {
 
 // actor is node v's event loop: drain the mailbox, update the local
 // view, then try to move.
-func (r *Runtime) actor(v graph.NodeID, rng *rand.Rand) {
+func (r *Runtime) actor(v graph.NodeID, mbox chan message, rng *rand.Rand) {
 	defer r.wg.Done()
 	seen := map[graph.NodeID]uint64{} // newest version of q that v was told about
 	var ballCopy, stale []graph.NodeID
@@ -535,12 +547,12 @@ func (r *Runtime) actor(v graph.NodeID, rng *rand.Rand) {
 		select {
 		case <-r.stopCh:
 			return
-		case m := <-r.mbox[v]:
+		case m := <-mbox:
 			r.handle(v, m, seen)
 		}
 		for drained := false; !drained; {
 			select {
-			case m := <-r.mbox[v]:
+			case m := <-mbox:
 				r.handle(v, m, seen)
 			default:
 				drained = true
@@ -700,11 +712,7 @@ func (r *Runtime) MoveLog() []program.Move {
 // Metrics snapshots the runtime counters.
 func (r *Runtime) Metrics() Metrics {
 	r.mu.Lock()
-	en := r.sys.EnabledCount()
-	legit := r.legitimateLocked()
-	moves := r.sys.Moves()
-	logLen := len(r.moveLog)
-	r.mu.Unlock()
+	defer r.mu.Unlock()
 	return Metrics{
 		Sent:         r.sent.Load(),
 		Delivered:    r.delivered.Load(),
@@ -715,12 +723,12 @@ func (r *Runtime) Metrics() Metrics {
 		Requests:     r.requests.Load(),
 		States:       r.statesSent.Load(),
 		Ticks:        r.ticks.Load(),
-		Moves:        moves,
+		Moves:        r.sys.Moves(),
 		Convergences: r.convergences.Load(),
-		EnabledCount: en,
-		Legitimate:   legit,
+		EnabledCount: r.sys.EnabledCount(),
+		Legitimate:   r.legitimateLocked(),
 		MailboxPeak:  r.mailboxPeak.Load(),
-		MoveLogLen:   logLen,
+		MoveLogLen:   len(r.moveLog),
 	}
 }
 
@@ -749,16 +757,23 @@ func (r *Runtime) CorruptNode(v graph.NodeID) error {
 }
 
 // Mutate applies one topology mutation to the protocol's graph and
-// incorporates the delta f returns. System.ApplyDelta repairs the
-// enabled cache and the witness over the delta's ball only, exactly as
-// on the serial engine. The per-node arrays grow with the id space,
-// but every ball and the whole link map are still rebuilt, and every
-// version is bumped so every node resynchronizes its view. f runs
-// under the state mutex and the reconciliation follows under the same
-// hold, so no actor ever steps against a mutated but unreconciled
-// graph; f must not call back into the runtime. If f fails, nothing is
-// reconciled and its error is returned. Mutate invalidates the
-// projection recording.
+// incorporates the delta f returns, local to the delta.
+// System.ApplyDelta repairs the enabled cache and the witness over the
+// delta's ball, exactly as on the serial engine, and only the nodes it
+// repaired — d.Touched ∪ System.DeltaBall — get a new version (a node
+// listed twice is bumped twice, which is as good), so only their
+// observers resynchronize. The radius-R balls and links are repaired
+// for the touched nodes and their stored (pre-mutation) balls only.
+// That set holds every node x whose ball can change: if it changed,
+// some path of at most R hops from x, in the old or the new graph,
+// crosses an edge or node the delta changed, and the part of that
+// path before the first change runs through unchanged nodes and edges
+// to a touched node, so it is shorter than R and exists in the old
+// graph too. The per-node arrays grow with the id space. f runs under
+// the state mutex and the repair follows under the same hold, so no
+// actor ever steps against a mutated but unrepaired graph; f must not
+// call back into the runtime. If f fails, nothing is repaired and its
+// error is returned. Mutate invalidates the projection recording.
 func (r *Runtime) Mutate(f func() (graph.Delta, error)) error {
 	r.mu.Lock()
 	d, err := f()
@@ -767,28 +782,32 @@ func (r *Runtime) Mutate(f func() (graph.Delta, error)) error {
 		return err
 	}
 	r.sys.ApplyDelta(d)
-	n := r.g.N()
-	for len(r.ver) < n {
-		r.ver = append(r.ver, 0)
-		r.ball = append(r.ball, nil)
-	}
-	r.rebuildBallsLocked()
-	for v := range r.ver {
-		r.ver[v]++
-	}
 	r.sys.MoveHook, r.moveLog = nil, nil
-
 	r.linkMu.Lock()
-	for len(r.mbox) < n {
-		v := len(r.mbox)
-		r.mbox = append(r.mbox, make(chan message, r.cfg.Mailbox))
-		if r.state.Load() == int32(stateRunning) {
-			r.wg.Add(1)
-			go r.actor(graph.NodeID(v), rand.New(rand.NewSource(r.cfg.Seed+int64(v))))
+	r.growLocked()
+	for _, u := range d.Touched {
+		r.ver[u]++
+	}
+	for _, u := range r.sys.DeltaBall() {
+		r.ver[u]++
+	}
+	r.epoch++
+	r.affected = append(r.affected[:0], d.Touched...)
+	for _, t := range d.Touched {
+		r.mark[t] = r.epoch
+	}
+	for _, t := range d.Touched {
+		for _, q := range r.ball[t] {
+			if r.mark[q] != r.epoch {
+				r.mark[q] = r.epoch
+				r.affected = append(r.affected, q)
+			}
 		}
 	}
+	for _, w := range r.affected {
+		r.repairLocked(w)
+	}
 	r.linkMu.Unlock()
-	r.rebuildLinksLocked()
 	r.mu.Unlock()
 	r.tickAll()
 	return nil

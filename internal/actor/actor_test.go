@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"slices"
 	"testing"
 	"time"
 
@@ -296,9 +295,10 @@ func TestCorruptNodeReconverges(t *testing.T) {
 }
 
 // TestApplyDeltaResync: flap an edge through Mutate while the runtime
-// is live; the delta's global version bump forces a resync and the
-// protocol re-converges on the new topology both times. A mutation
-// that fails leaves the runtime untouched and returns its error.
+// is live; the repaired nodes' version bumps force their observers to
+// resync, and the protocol re-converges on the new topology both
+// times. A mutation that fails leaves the runtime untouched and
+// returns its error.
 func TestApplyDeltaResync(t *testing.T) {
 	g := graph.Grid(4, 4)
 	p, err := spantree.NewBFSTree(g, 0)
@@ -647,7 +647,10 @@ func TestLifecycleExitPathsLeaveNoGoroutines(t *testing.T) {
 // with a from-scratch evaluation: EnabledNodes against a guard scan of
 // the live nodes, and Legitimate (the witness) against the protocol's
 // O(n) Legitimate. A Mutate repair ball that misses a node whose guard
-// or witness contribution changed fails the comparison.
+// or witness contribution changed fails the comparison. After every
+// delta, checkRepair also compares the runtime's balls and links with
+// a from-scratch computation and checks that exactly the repaired
+// nodes got a new version.
 func TestAdminRepairMatchesScan(t *testing.T) {
 	for _, name := range []string{"dftno", "stno"} {
 		t.Run(name, func(t *testing.T) {
@@ -683,28 +686,11 @@ func TestAdminRepairMatchesScan(t *testing.T) {
 			}
 			check := func(what string) {
 				t.Helper()
-				var want []graph.NodeID
-				var scan bool
-				rt.Locked(func() {
-					for v := 0; v < g.N(); v++ {
-						if id := graph.NodeID(v); g.Alive(id) && len(p.Enabled(id, nil)) > 0 {
-							want = append(want, id)
-						}
-					}
-					scan = p.Legitimate()
-				})
-				if got := rt.EnabledNodes(nil); !slices.Equal(got, want) {
-					t.Fatalf("after %s: EnabledNodes %v, guard scan %v", what, got, want)
-				}
-				if got := rt.Legitimate(); got != scan {
-					t.Fatalf("after %s: Legitimate %v, scan %v", what, got, scan)
-				}
+				checkScan(t, rt, p, what)
 			}
 			mutate := func(what string, f func() (graph.Delta, error)) {
 				t.Helper()
-				if err := rt.Mutate(f); err != nil {
-					t.Fatalf("%s: %v", what, err)
-				}
+				checkedMutate(t, rt, what, f)
 				check(what)
 			}
 			edge := func(add bool, u, v graph.NodeID) func() (graph.Delta, error) {
@@ -714,6 +700,7 @@ func TestAdminRepairMatchesScan(t *testing.T) {
 				return func() (graph.Delta, error) { return g.RemoveEdge(u, v) }
 			}
 			check("start")
+			checkRepair(t, rt, nil, nil, "start")
 			if !rt.Legitimate() {
 				t.Fatal("not legitimate at start")
 			}

@@ -41,6 +41,13 @@ import (
 // (shrinking either would change or drop the row keys the committed
 // baseline is diffed against) and only lowers the grid's step count.
 func T17FrontierWaves(cfg Config) (*trace.Table, error) {
+	return t17(cfg, 1024, 1<<18)
+}
+
+// t17 is T17's body over a side×side grid and a barabási graph of baN
+// nodes. The committed table uses 1024 and 2¹⁸; the package's -short
+// tests run it on small graphs.
+func t17(cfg Config, side, baN int) (*trace.Table, error) {
 	steps := 10
 	if cfg.Quick {
 		steps = 3
@@ -63,16 +70,16 @@ func T17FrontierWaves(cfg Config) (*trace.Table, error) {
 		base  *graph.Graph
 		steps int
 	}
-	ba, err := graph.Barabasi(1<<18, 3, rand.New(rand.NewSource(cfg.Seed)))
+	ba, err := graph.Barabasi(baN, 3, rand.New(rand.NewSource(cfg.Seed)))
 	if err != nil {
 		return nil, err
 	}
 	topos := []topo{
-		{"grid:1024x1024", graph.Grid(1024, 1024), steps},
+		{fmt.Sprintf("grid:%dx%d", side, side), graph.Grid(side, side), steps},
 		// The BFS tree stabilizes within a handful of steps on the
 		// low-diameter barabási graph, so its step count is pinned
 		// below the convergence horizon in quick and full mode alike.
-		{"barabasi:262144:3", ba, 3},
+		{fmt.Sprintf("barabasi:%d:3", baN), ba, 3},
 	}
 
 	tb := trace.NewTable(

@@ -82,6 +82,10 @@ type System struct {
 	epoch   int64
 	infBuf  []graph.NodeID
 
+	// deltaBall is the influence ball the last ApplyDelta repaired
+	// besides the delta's Touched set (see DeltaBall).
+	deltaBall []graph.NodeID
+
 	// Rank-query memo: the last At(i) answered, so the At/Actions pair
 	// every daemon issues costs one Fenwick select, not two.
 	memoIdx  int
@@ -215,16 +219,13 @@ func (s *System) Invalidate() {
 // re-arms on the next legitimacy query. If the hook invalidated the
 // protocol's counters they likewise re-arm lazily.
 func (s *System) ApplyDelta(d graph.Delta) {
-	var ball []graph.NodeID
 	if ta, ok := s.proto.(TopologyAware); ok {
-		s.infBuf = ta.TopologyChanged(d, s.infBuf[:0])
-		ball = s.infBuf
+		s.deltaBall = ta.TopologyChanged(d, s.deltaBall[:0])
 	} else {
-		s.infBuf = s.infBuf[:0]
+		s.deltaBall = s.deltaBall[:0]
 		for _, u := range d.Touched {
-			s.infBuf = InfluenceClosedNeighborhood(s.g, u, s.infBuf)
+			s.deltaBall = InfluenceClosedNeighborhood(s.g, u, s.deltaBall)
 		}
-		ball = s.infBuf
 	}
 	if n := s.g.N(); n != s.seenN {
 		// The id space grew. Append cache slots for the new ids (the
@@ -265,7 +266,7 @@ func (s *System) ApplyDelta(d graph.Delta) {
 			for _, u := range d.Touched {
 				s.witness.WitnessRefresh(u)
 			}
-			for _, u := range ball {
+			for _, u := range s.deltaBall {
 				s.witness.WitnessRefresh(u)
 			}
 		}
@@ -276,11 +277,19 @@ func (s *System) ApplyDelta(d graph.Delta) {
 	for _, u := range d.Touched {
 		s.markDirty(u)
 	}
-	for _, u := range ball {
+	for _, u := range s.deltaBall {
 		s.markDirty(u)
 	}
 	s.refreshDirty()
 }
+
+// DeltaBall returns the influence ball the last ApplyDelta repaired:
+// the protocol's TopologyChanged return, or the default closed 1-hop
+// neighbourhoods of the touched set. d.Touched ∪ DeltaBall() is every
+// node whose state or guards the call may have changed. The slice may
+// hold duplicates, is read-only, and stays valid until the next
+// ApplyDelta.
+func (s *System) DeltaBall() []graph.NodeID { return s.deltaBall }
 
 // ensureInit performs the one full guard scan the incremental scheduler
 // needs to bootstrap its cache.
