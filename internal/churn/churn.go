@@ -18,10 +18,12 @@
 package churn
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
+	"sync"
 
 	"netorient/internal/graph"
 	"netorient/internal/program"
@@ -377,12 +379,12 @@ func CutDown(g *graph.Graph, cut []graph.Edge, apply func(graph.Delta)) (func() 
 // keeps the live graph connected, by rejection sampling (every
 // connected graph that is not a tree has one; on a tree ok is false).
 func PickFlapEdge(g *graph.Graph, rng *rand.Rand) (u, v graph.NodeID, ok bool) {
-	edges := g.Edges()
-	if len(edges) == 0 {
+	m := g.M()
+	if m == 0 {
 		return graph.None, graph.None, false
 	}
-	for attempts := 0; attempts < 4*len(edges)+16; attempts++ {
-		e := edges[rng.Intn(len(edges))]
+	for attempts := 0; attempts < 4*m+16; attempts++ {
+		e := edgeAt(g, rng.Intn(m))
 		if connectedWithoutEdge(g, e.U, e.V) {
 			return e.U, e.V, true
 		}
@@ -409,12 +411,46 @@ func PickCrashNode(g *graph.Graph, root graph.NodeID, rng *rand.Rand) (graph.Nod
 // PickAnyEdge returns a uniformly random live edge with no
 // connectivity check — removals may split the graph.
 func PickAnyEdge(g *graph.Graph, rng *rand.Rand) (u, v graph.NodeID, ok bool) {
-	edges := g.Edges()
-	if len(edges) == 0 {
+	m := g.M()
+	if m == 0 {
 		return graph.None, graph.None, false
 	}
-	e := edges[rng.Intn(len(edges))]
+	e := edgeAt(g, rng.Intn(m))
 	return e.U, e.V, true
+}
+
+// edgeAt returns g.Edges()[i] without building the slice: it skips
+// whole nodes by their count of higher-numbered neighbours, then ranks
+// the chosen node's higher neighbours by counting, in O(n+m) time with
+// no allocation.
+func edgeAt(g *graph.Graph, i int) graph.Edge {
+	for u := graph.NodeID(0); int(u) < g.N(); u++ {
+		up := 0
+		for _, v := range g.Neighbors(u) {
+			if v != graph.None && v > u {
+				up++
+			}
+		}
+		if i >= up {
+			i -= up
+			continue
+		}
+		for _, v := range g.Neighbors(u) {
+			if v == graph.None || v <= u {
+				continue
+			}
+			rank := 0
+			for _, w := range g.Neighbors(u) {
+				if w != graph.None && w > u && w < v {
+					rank++
+				}
+			}
+			if rank == i {
+				return graph.Edge{U: u, V: v}
+			}
+		}
+	}
+	panic(fmt.Sprintf("churn: edge index out of range [0,%d)", g.M()))
 }
 
 // PickAnyNode returns a uniformly random live non-root node with no
@@ -508,51 +544,48 @@ func PickPartitionCut(g *graph.Graph, root graph.NodeID, size int, rng *rand.Ran
 	if seed == graph.None {
 		return nil, false
 	}
-	inRegion := make(map[graph.NodeID]bool, size)
-	inRegion[seed] = true
-	frontier := []graph.NodeID{seed}
-	for len(frontier) > 0 && len(inRegion) < size {
-		v := frontier[0]
-		frontier = frontier[1:]
-		for _, q := range g.Neighbors(v) {
-			if q == graph.None || q == root || inRegion[q] {
+	sc := getScratch(g)
+	defer scratchPool.Put(sc)
+	// The region is sc.queue in BFS order: the queue keeps every node
+	// it ever held, and head walks the frontier.
+	sc.mark(seed)
+	for head := 0; head < len(sc.queue) && len(sc.queue) < size; head++ {
+		for _, q := range g.Neighbors(sc.queue[head]) {
+			if q == graph.None || q == root || sc.marked(q) {
 				continue
 			}
-			if len(inRegion) >= size {
+			if len(sc.queue) >= size {
 				break
 			}
-			inRegion[q] = true
-			frontier = append(frontier, q)
+			sc.mark(q)
 		}
 	}
-	var cut []graph.Edge
-	for v := range inRegion {
+	// Each cut edge has exactly one endpoint in the region, so it is
+	// found once; sorting makes the result independent of BFS order.
+	ncut := 0
+	for _, v := range sc.queue {
 		for _, q := range g.Neighbors(v) {
-			if q == graph.None || inRegion[q] {
+			if q != graph.None && !sc.marked(q) {
+				ncut++
+			}
+		}
+	}
+	if ncut == 0 {
+		return nil, false
+	}
+	cut := make([]graph.Edge, 0, ncut)
+	for _, v := range sc.queue {
+		for _, q := range g.Neighbors(v) {
+			if q == graph.None || sc.marked(q) {
 				continue
 			}
-			e := graph.Edge{U: v, V: q}
-			if e.U > e.V {
-				e.U, e.V = e.V, e.U
-			}
-			cut = append(cut, e)
+			cut = append(cut, graph.Edge{U: min(v, q), V: max(v, q)})
 		}
 	}
-	// Deduplicate (both endpoints in the region never happens, but an
-	// edge is discovered once per region endpoint) and sort for seeded
-	// determinism independent of map iteration.
-	seen := make(map[graph.Edge]bool, len(cut))
-	uniq := cut[:0]
-	for _, e := range cut {
-		if !seen[e] {
-			seen[e] = true
-			uniq = append(uniq, e)
-		}
-	}
-	sort.Slice(uniq, func(i, j int) bool {
-		return uniq[i].U < uniq[j].U || (uniq[i].U == uniq[j].U && uniq[i].V < uniq[j].V)
+	slices.SortFunc(cut, func(a, b graph.Edge) int {
+		return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
 	})
-	return uniq, len(uniq) > 0
+	return cut, true
 }
 
 // connectedWithoutEdge reports whether the live graph stays connected
@@ -578,21 +611,55 @@ func connectedWithoutNode(g *graph.Graph, start, x graph.NodeID) bool {
 // sweep BFS-counts the live nodes reachable from start, skipping
 // traversals for which skip(from, to) holds.
 func sweep(g *graph.Graph, start graph.NodeID, skip func(u, q graph.NodeID) bool) int {
-	visited := make([]bool, g.N())
-	visited[start] = true
-	queue := []graph.NodeID{start}
-	count := 1
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
+	sc := getScratch(g)
+	defer scratchPool.Put(sc)
+	sc.mark(start)
+	for head := 0; head < len(sc.queue); head++ {
+		u := sc.queue[head]
 		for _, q := range g.Neighbors(u) {
-			if q == graph.None || visited[q] || skip(u, q) {
+			if q == graph.None || sc.marked(q) || skip(u, q) {
 				continue
 			}
-			visited[q] = true
-			count++
-			queue = append(queue, q)
+			sc.mark(q)
 		}
 	}
-	return count
+	return len(sc.queue)
 }
+
+// scratch is the reusable BFS state of sweep and PickPartitionCut: an
+// epoch-stamped visited array, so clearing it is one counter increment,
+// and a queue that keeps every node it was given. Pooled because the
+// pickers are package-level functions with no receiver to hang it off.
+type scratch struct {
+	stamp []uint32
+	epoch uint32
+	queue []graph.NodeID
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// getScratch returns a pooled scratch sized for g, with no node marked
+// and an empty queue.
+func getScratch(g *graph.Graph) *scratch {
+	sc := scratchPool.Get().(*scratch)
+	if len(sc.stamp) < g.N() {
+		sc.stamp = make([]uint32, g.N())
+		sc.queue = make([]graph.NodeID, 0, g.N())
+		sc.epoch = 0
+	}
+	sc.epoch++
+	if sc.epoch == 0 { // stamp wrap: stale stamps could collide, wipe once
+		clear(sc.stamp)
+		sc.epoch = 1
+	}
+	sc.queue = sc.queue[:0]
+	return sc
+}
+
+// mark records v as visited and enqueues it.
+func (sc *scratch) mark(v graph.NodeID) {
+	sc.stamp[v] = sc.epoch
+	sc.queue = append(sc.queue, v)
+}
+
+func (sc *scratch) marked(v graph.NodeID) bool { return sc.stamp[v] == sc.epoch }

@@ -1,0 +1,7 @@
+//go:build race
+
+package churn_test
+
+// raceEnabled reports a -race build, in which sync.Pool drops a random
+// share of the items put back, so pooled scratch reallocates.
+const raceEnabled = true

@@ -65,16 +65,19 @@ type DFTNO struct {
 	// maintenance of refNames under topology churn: removing an edge
 	// that is NOT a tree edge of the reference DFS cannot change the
 	// traversal (when the walk scans that port the far endpoint is
-	// already visited either way), so rebindReference skips the
+	// already visited either way), so TopologyChanged skips the
 	// O(n+m) rebuild in that case. RefRebuilds counts the rebuilds
 	// that did run, so churn experiments can prove they are rare
-	// relative to steps.
+	// relative to steps. A rebuild rewrites all three arrays in place
+	// (see rebuildReference): refParent doubles as the walk's visited
+	// marks and stack, so a rebuild allocates nothing unless the id
+	// space grew.
 	refNames  []int
 	maxSub    []int
 	refParent []graph.NodeID
 
 	// RefRebuilds counts O(n+m) reference-naming rebuilds triggered
-	// by topology deltas (see rebindReference).
+	// by topology deltas (see TopologyChanged).
 	RefRebuilds int64
 
 	// wit is the incremental legitimacy witness (program.Witness):
@@ -133,7 +136,8 @@ func NewDFTNO(g *graph.Graph, sub TokenSubstrate, modulus int) (*DFTNO, error) {
 	// Reference naming: the legitimate circulation is the
 	// deterministic port-order DFS from the root (the Substrate
 	// contract), whose Nodelabel macro assigns exactly the preorder
-	// index. Subtree sizes give maxSub by the contiguity of preorder.
+	// index; a node's maxSub is the last name handed out when it
+	// finishes, by the contiguity of preorder.
 	d.rebuildReference()
 
 	// Stabilized orientation state for the substrate's position.
@@ -177,71 +181,101 @@ func NewDFTNO(g *graph.Graph, sub TokenSubstrate, modulus int) (*DFTNO, error) {
 	return d, nil
 }
 
+// unvisited marks, in refParent, a node the reference walk has not
+// reached yet; it differs from graph.None, the parent of a root.
+const unvisited graph.NodeID = graph.None - 1
+
 // rebuildReference recomputes the reference naming (refNames, maxSub,
-// refParent) from the current graph in O(n+m) and reports whether the
-// naming changed. Nodes the DFS does not reach (dead, or live but cut
-// off mid-partition) get refName −1, which no live reachable node ever
-// holds, so stale positions compare unequal.
+// refParent) from the current graph and reports whether the naming
+// (refNames or maxSub) changed. It walks in place, in O(n+m) time with
+// no scratch: refParent is reset to unvisited and then serves as both
+// the visited marks and the DFS stack, every effective root's walk
+// shares those marks, and each write to refNames and maxSub compares
+// against the value it overwrites, which gives the verdict. The arrays
+// are reallocated, at exactly n, only when the id space grew. Nodes no
+// walk reaches (dead, or live but cut off mid-partition) get refName
+// −1, which no live reachable node ever holds, so stale positions
+// compare unequal.
 func (d *DFTNO) rebuildReference() bool {
 	n := d.g.N()
-	names := make([]int, n)
-	maxSub := make([]int, n)
-	parent := make([]graph.NodeID, n)
-	for v := range names {
-		names[v], maxSub[v], parent[v] = -1, -1, graph.None
+	changed := len(d.refNames) != n
+	if changed {
+		d.refNames = make([]int, n)
+		d.maxSub = make([]int, n)
+		d.refParent = make([]graph.NodeID, n)
 	}
-	size := make([]int, n)
-	runRoot := func(root graph.NodeID) {
-		if names[root] >= 0 {
-			// A second effective root inside an already-traversed
-			// component (transient multi-root configuration): keep the
-			// first traversal's naming; the circulator's own multi-root
-			// veto keeps the composed predicate false until the
-			// authority settles on one root per component.
-			return
-		}
-		order, par := graph.DFSPreorder(d.g, root)
-		for idx, v := range order {
-			names[v] = idx
-			if p := par[v]; p != graph.None {
-				parent[v] = p
-			}
-		}
-		for i := len(order) - 1; i >= 0; i-- {
-			v := order[i]
-			size[v]++
-			if p := par[v]; p != graph.None {
-				size[p] += size[v]
-			}
-		}
-		for _, v := range order {
-			maxSub[v] = names[v] + size[v] - 1
-		}
+	for v := range d.refParent {
+		d.refParent[v] = unvisited
 	}
 	if d.auth == nil {
-		runRoot(d.sub.Root())
+		changed = d.walkReference(d.sub.Root()) || changed
 	} else {
 		// Per-component preorders from every effective root, each
 		// naming its component 0..|C|−1 — consistent with OnRootStart
-		// naming an acting root 0 when it regenerates the token.
+		// naming an acting root 0 when it regenerates the token. A
+		// second effective root inside an already-walked component
+		// (transient multi-root configuration) keeps the first walk's
+		// naming; the circulator's own multi-root veto keeps the
+		// composed predicate false until the authority settles on one
+		// root per component.
 		for v := 0; v < n; v++ {
 			id := graph.NodeID(v)
-			if d.g.Alive(id) && d.auth.IsRoot(id) {
-				runRoot(id)
+			if d.refParent[id] == unvisited && d.g.Alive(id) && d.auth.IsRoot(id) {
+				changed = d.walkReference(id) || changed
 			}
 		}
 	}
-	changed := len(names) != len(d.refNames)
-	if !changed {
-		for v := range names {
-			if names[v] != d.refNames[v] || maxSub[v] != d.maxSub[v] {
-				changed = true
-				break
-			}
+	for v, p := range d.refParent {
+		if p != unvisited {
+			continue
+		}
+		d.refParent[v] = graph.None
+		if d.refNames[v] != -1 || d.maxSub[v] != -1 {
+			d.refNames[v], d.maxSub[v] = -1, -1
+			changed = true
 		}
 	}
-	d.refNames, d.maxSub, d.refParent = names, maxSub, parent
 	return changed
+}
+
+// walkReference names root's component by the port-order DFS preorder
+// from root, writing refNames, maxSub and refParent in place, and
+// reports whether any refNames or maxSub entry changed. The stack is
+// the refParent chain: backtracking from c resumes its parent p at the
+// port after c's, and maxSub[c] is the last name handed out when c
+// finishes (preorder numbers a subtree contiguously).
+func (d *DFTNO) walkReference(root graph.NodeID) bool {
+	changed := d.refNames[root] != 0
+	d.refNames[root] = 0
+	d.refParent[root] = graph.None
+	next := 1
+	v, port := root, 0
+	for {
+		if port < d.g.Ports(v) {
+			q := d.g.Neighbor(v, port)
+			port++
+			if q != graph.None && d.refParent[q] == unvisited {
+				d.refParent[q] = v
+				if d.refNames[q] != next {
+					d.refNames[q] = next
+					changed = true
+				}
+				next++
+				v, port = q, 0
+			}
+			continue
+		}
+		if d.maxSub[v] != next-1 {
+			d.maxSub[v] = next - 1
+			changed = true
+		}
+		p := d.refParent[v]
+		if p == graph.None {
+			return changed
+		}
+		port, _ = d.g.PortOf(p, v)
+		v, port = p, port+1
+	}
 }
 
 // BindRootAuthority implements program.Rootable: the reference naming

@@ -2,6 +2,7 @@ package program_test
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"netorient/internal/core"
@@ -28,7 +29,9 @@ import (
 // every tail toggle is a split or a merge. Every mutation flows
 // through ApplyDelta — including ones that later reverse, since a
 // remove/re-add pair can legitimately renumber ports when older holes
-// exist below.
+// exist below. After every op, both stacks' reference naming, brought
+// up to date with the acting roots, must equal a from-scratch
+// per-root DFS preorder.
 func FuzzApplyDelta(f *testing.F) {
 	f.Add([]byte{0, 1, 4, 0, 2, 9, 0, 0, 1, 4})
 	f.Add([]byte{2, 4, 0, 0, 0, 2, 4, 1, 11, 1, 11})
@@ -157,10 +160,39 @@ func FuzzApplyDelta(f *testing.F) {
 			if got, want := pInc.WitnessLegitimate(), pInc.Legitimate(); got != want {
 				t.Fatalf("witness %v vs Legitimate %v", got, want)
 			}
+			for _, p := range []*failover.Protocol{pInc, pFull} {
+				d := p.Inner().(*core.DFTNO)
+				d.Legitimate() // re-derives the naming if the acting roots moved
+				if got, want := d.ReferenceNames(), referenceNames(g, p); !slices.Equal(got, want) {
+					t.Fatalf("reference naming\n got %v\nwant %v", got, want)
+				}
+			}
 		}
 		if inc.Moves() != full.Moves() || inc.Rounds() != full.Rounds() {
 			t.Fatalf("counters diverge: inc (m=%d r=%d) vs full (m=%d r=%d)",
 				inc.Moves(), inc.Rounds(), full.Moves(), full.Rounds())
 		}
 	})
+}
+
+// referenceNames derives DFTNO's reference naming from scratch for the
+// roots authority a declares: one fresh graph.DFSPreorder per live
+// effective root in id order, skipping a root an earlier preorder
+// already named; nodes no root reaches are −1.
+func referenceNames(g *graph.Graph, a program.RootAuthority) []int {
+	names := make([]int, g.N())
+	for v := range names {
+		names[v] = -1
+	}
+	for v := 0; v < g.N(); v++ {
+		id := graph.NodeID(v)
+		if !g.Alive(id) || !a.IsRoot(id) || names[id] >= 0 {
+			continue
+		}
+		order, _ := graph.DFSPreorder(g, id)
+		for i, w := range order {
+			names[w] = i
+		}
+	}
+	return names
 }
