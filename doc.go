@@ -14,13 +14,18 @@
 // # Execution engine
 //
 // Simulations run on an event-driven incremental scheduler
-// (internal/program.System): the runner caches every node's
-// enabled-action list and, after a move at v, re-evaluates guards only
-// for v's closed neighbourhood — or the wider set a protocol declares
+// (internal/program.System). Both it and the parallel engine
+// (program.ParallelSystem, below) schedule from one guard cache: every
+// node's enabled-action list, re-evaluated after a move at v only for
+// v's closed neighbourhood — or the wider set a protocol declares
 // through the program.Influencer locality contract (STNO over a DFS
-// tree reads two hops). The dirty-set invariant — cached guards always
-// equal a fresh evaluation — makes the guard work of a daemon step
-// O(Δ) instead of Θ(n).
+// tree reads two hops) — and after a topology delta only for its
+// touched set and influence ball. Its invariant: after every step and
+// every delta, each node's cached list equals a fresh evaluation of
+// its guards. It makes the guard work of a daemon step O(Δ) instead
+// of Θ(n); an out-of-band configuration change (restore, randomize,
+// corrupt) breaks it until Invalidate, after which one full scan
+// rebuilds the cache.
 //
 // The runner's two hot-path contracts are sublinear as well:
 //
@@ -77,7 +82,8 @@
 // no other shard reads or is influenced by a move there. Each step
 // runs two phases: phase A fires interior nodes concurrently, one
 // goroutine per shard, each with its own seeded RNG and eager in-shard
-// guard-cache repair; phase B fires the frontier (non-interior nodes)
+// repair of the shared guard cache (each worker tallies its own
+// enabled and round-pending changes, folded at the barrier); phase B fires the frontier (non-interior nodes)
 // wave by wave, where a wave is a set of frontier nodes with
 // pairwise-disjoint radius-R balls — the simultaneity the paper's
 // distributed daemon permits. By default every wave is a single
@@ -109,14 +115,16 @@
 // fixed, so equal seeds and worker counts replay bit-identically,
 // while different worker counts yield different — still legal —
 // distributed-daemon schedules. Topology deltas (System.ApplyDelta's
-// parallel twin) land between steps, when the pool is quiesced:
-// the engine repairs its caches for the delta's ball, re-classifies
-// interior/frontier membership inside the radius-R ball of the
-// touched set, and appends cache slots when AddNode grows the id
-// space — the protocols' flat per-node arrays (a struct-of-arrays
-// layout throughout) and the runner's capacity-doubling arena and
-// Fenwick index make growth to n=10⁶–10⁷ an amortised-O(1) append
-// per node instead of a full rebuild. Shard boundaries can also move
+// parallel twin) land between steps, when the pool is quiesced: both
+// engines run the same ApplyDelta head — the protocol's
+// TopologyChanged hook, the cache repair for the delta's ball, and
+// slot growth when AddNode grows the id space — and the parallel
+// engine then re-classifies interior/frontier membership inside the
+// radius-R ball of the touched set. The protocols' flat per-node
+// arrays (a struct-of-arrays layout throughout), the cache's
+// capacity-doubling arena and System's Fenwick index make growth to
+// n=10⁶–10⁷ an amortised-O(1) append per node instead of a full
+// rebuild. Shard boundaries can also move
 // while the system runs: Reshard() re-partitions into even ranges on
 // demand, and ParallelConfig.Reshard (program.ReshardPolicy) does it
 // automatically — when the max/mean ratio of recent per-shard phase-A

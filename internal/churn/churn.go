@@ -467,64 +467,136 @@ func PickAnyNode(g *graph.Graph, root graph.NodeID, rng *rand.Rand) (graph.NodeI
 }
 
 // PickBridgeEdge returns a uniformly random bridge — a live edge whose
-// removal splits its component — by rejection sampling; ok is false
-// when the graph has none (2-edge-connected components only).
+// removal splits its component: the first bridge in a random
+// permutation of g.Edges(); ok is false when the graph has none
+// (2-edge-connected components only). One lowlink pass flags every
+// bridge, so a pick costs O(n+m) whether or not it succeeds.
 func PickBridgeEdge(g *graph.Graph, rng *rand.Rand) (u, v graph.NodeID, ok bool) {
 	edges := g.Edges()
 	if len(edges) == 0 {
 		return graph.None, graph.None, false
 	}
 	perm := rng.Perm(len(edges))
+	ll := lowlink(g)
+	defer lowlinkPool.Put(ll)
 	for _, i := range perm {
-		e := edges[i]
-		if bridgeEdge(g, e.U, e.V) {
+		if e := edges[i]; ll.bridge(e.U, e.V) {
 			return e.U, e.V, true
 		}
 	}
 	return graph.None, graph.None, false
 }
 
-// bridgeEdge reports whether removing {u,v} splits their component —
-// a component-local test, sound on already-disconnected graphs.
-func bridgeEdge(g *graph.Graph, u, v graph.NodeID) bool {
-	reached := sweep(g, u, func(a, b graph.NodeID) bool {
-		return (a == u && b == v) || (a == v && b == u)
-	})
-	return reached < g.ComponentSize(g.ComponentOf(u))
-}
-
-// cutVertex reports whether removing v splits its component.
-func cutVertex(g *graph.Graph, v graph.NodeID) bool {
-	var start graph.NodeID = graph.None
-	for _, q := range g.Neighbors(v) {
-		if q != graph.None {
-			start = q
-			break
-		}
-	}
-	if start == graph.None {
-		return false
-	}
-	reached := sweep(g, start, func(a, b graph.NodeID) bool { return b == v })
-	return reached < g.ComponentSize(g.ComponentOf(v))-1
-}
-
 // PickCutVertex returns a uniformly random live non-root cut vertex —
-// a node whose removal splits its component into islands; ok is false
-// when no non-root node is one.
+// a node whose removal splits its component into islands: the first
+// one in a random permutation of the ids; ok is false when no non-root
+// node is one. Like PickBridgeEdge it costs one lowlink pass.
 func PickCutVertex(g *graph.Graph, root graph.NodeID, rng *rand.Rand) (graph.NodeID, bool) {
-	n := g.N()
-	perm := rng.Perm(n)
+	perm := rng.Perm(g.N())
+	ll := lowlink(g)
+	defer lowlinkPool.Put(ll)
 	for _, i := range perm {
-		v := graph.NodeID(i)
-		if v == root || !g.Alive(v) || g.Degree(v) < 2 {
-			continue
-		}
-		if cutVertex(g, v) {
+		if v := graph.NodeID(i); v != root && g.Alive(v) && ll.flag[v]&flagCut != 0 {
 			return v, true
 		}
 	}
 	return graph.None, false
+}
+
+// lowlink runs one iterative Tarjan lowlink pass over every live
+// component of g and returns its verdicts: the DFS parent of each live
+// node, flagBridge on each node whose tree edge to its parent is a
+// bridge, and flagCut on each cut vertex. A verdict is relative to the
+// node's own component, so it is sound on an already-disconnected
+// graph. O(n+m), with no allocation once the pooled state is sized;
+// the caller returns it to lowlinkPool.
+func lowlink(g *graph.Graph) *lowlinks {
+	ll := lowlinkPool.Get().(*lowlinks)
+	n := g.N()
+	if len(ll.disc) < n {
+		*ll = lowlinks{
+			disc: make([]int32, n), low: make([]int32, n), next: make([]int32, n),
+			parent: make([]graph.NodeID, n), flag: make([]uint8, n),
+			stack: make([]graph.NodeID, 0, n),
+		}
+	}
+	for v := range n {
+		ll.disc[v] = -1
+	}
+	clock := int32(0)
+	for r := graph.NodeID(0); int(r) < n; r++ {
+		if !g.Alive(r) || ll.disc[r] >= 0 {
+			continue
+		}
+		ll.enter(r, graph.None, clock)
+		clock++
+		kids := 0
+		for len(ll.stack) > 0 {
+			u := ll.stack[len(ll.stack)-1]
+			if nb := g.Neighbors(u); int(ll.next[u]) < len(nb) {
+				q := nb[ll.next[u]]
+				ll.next[u]++
+				switch {
+				case q == graph.None || q == ll.parent[u]:
+				case ll.disc[q] >= 0:
+					ll.low[u] = min(ll.low[u], ll.disc[q])
+				default:
+					ll.enter(q, u, clock)
+					clock++
+					if u == r {
+						kids++
+					}
+				}
+				continue
+			}
+			ll.stack = ll.stack[:len(ll.stack)-1]
+			if p := ll.parent[u]; p != graph.None {
+				ll.low[p] = min(ll.low[p], ll.low[u])
+				if ll.low[u] > ll.disc[p] {
+					ll.flag[u] |= flagBridge
+				}
+				if ll.low[u] >= ll.disc[p] && p != r {
+					ll.flag[p] |= flagCut
+				}
+			}
+		}
+		if kids >= 2 {
+			ll.flag[r] |= flagCut
+		}
+	}
+	return ll
+}
+
+// lowlinks is the reusable state of a lowlink pass: discovery times
+// (−1 while unvisited), lowlink values, port cursors, DFS parents,
+// verdict flags and the DFS stack. Pooled like scratch, and kept apart
+// from it so the far more frequent sweeps stay small.
+type lowlinks struct {
+	disc, low, next []int32
+	parent          []graph.NodeID
+	flag            []uint8 // flagBridge | flagCut
+	stack           []graph.NodeID
+}
+
+// lowlink verdicts.
+const (
+	flagBridge uint8 = 1 << iota // the tree edge to the node's parent is a bridge
+	flagCut                      // the node is a cut vertex
+)
+
+var lowlinkPool = sync.Pool{New: func() any { return new(lowlinks) }}
+
+// enter discovers v at time clock, with DFS parent p, and pushes it.
+func (ll *lowlinks) enter(v, p graph.NodeID, clock int32) {
+	ll.disc[v], ll.low[v], ll.next[v] = clock, clock, 0
+	ll.parent[v], ll.flag[v] = p, 0
+	ll.stack = append(ll.stack, v)
+}
+
+// bridge reports whether the pass flagged the edge {u,v} as a bridge.
+func (ll *lowlinks) bridge(u, v graph.NodeID) bool {
+	return (ll.parent[v] == u && ll.flag[v]&flagBridge != 0) ||
+		(ll.parent[u] == v && ll.flag[u]&flagBridge != 0)
 }
 
 // PickPartitionCut grows a random connected region of up to `size`

@@ -102,6 +102,43 @@ func refPartitionCut(g *graph.Graph, root graph.NodeID, size int, rng *rand.Rand
 	return cut, len(cut) > 0
 }
 
+// refBridgeEdge and refCutVertex are the per-candidate sweep forms of
+// PickBridgeEdge and PickCutVertex: each candidate in the permutation
+// is tested with its own search against the size of its component.
+func refBridgeEdge(g *graph.Graph, rng *rand.Rand) (graph.Edge, bool) {
+	edges := g.Edges()
+	if len(edges) == 0 {
+		return graph.Edge{U: graph.None, V: graph.None}, false
+	}
+	for _, i := range rng.Perm(len(edges)) {
+		e := edges[i]
+		if reachable(g, e.U, e.U, e.V, graph.None) < reachable(g, e.U, graph.None, graph.None, graph.None) {
+			return e, true
+		}
+	}
+	return graph.Edge{U: graph.None, V: graph.None}, false
+}
+
+func refCutVertex(g *graph.Graph, root graph.NodeID, rng *rand.Rand) (graph.NodeID, bool) {
+	for _, i := range rng.Perm(g.N()) {
+		v := graph.NodeID(i)
+		if v == root || !g.Alive(v) || g.Degree(v) < 2 {
+			continue
+		}
+		start := graph.None
+		for _, q := range g.Neighbors(v) {
+			if q != graph.None {
+				start = q
+				break
+			}
+		}
+		if reachable(g, start, graph.None, graph.None, v) < reachable(g, v, graph.None, graph.None, graph.None)-1 {
+			return v, true
+		}
+	}
+	return graph.None, false
+}
+
 // holedGrid returns grid:6x6 with a few edges removed, two nodes
 // crashed and every port order shuffled, so adjacency lists have holes,
 // node ids have gaps and ports do not follow neighbour ids.
@@ -133,10 +170,11 @@ func holedGrid(t *testing.T) *graph.Graph {
 	return shuffled
 }
 
-// TestPickersMatchSliceReference pins that the allocation-free pickers
-// make the same choices from the same draws as the slice-and-map forms
-// they replaced, so seeded schedules do not move: each pick must agree
-// and leave the two generators in step.
+// TestPickersMatchSliceReference pins that the allocation-free and
+// lowlink pickers make the same choices from the same draws as the
+// slice-and-map and per-candidate sweep forms they replaced, so seeded
+// schedules do not move: each pick must agree and leave the two
+// generators in step.
 func TestPickersMatchSliceReference(t *testing.T) {
 	t.Parallel()
 	g := holedGrid(t)
@@ -169,6 +207,51 @@ func TestPickersMatchSliceReference(t *testing.T) {
 			t.Fatalf("seed %d PickPartitionCut(%d): %v %v, want %v %v", seed, size, cut, ok, want, okRef)
 		}
 		inStep("PickPartitionCut")
+	}
+	// PickBridgeEdge and PickCutVertex against their per-candidate sweep
+	// forms, on graphs with bridges and cut vertices (the holed grid,
+	// the lollipop), a disconnected graph, whose verdicts are per
+	// component, and a grid with neither, where every pick fails.
+	split := holedGrid(t)
+	for c := graph.NodeID(0); c < 6; c++ {
+		if split.HasEdge(12+c, 18+c) {
+			if _, err := split.RemoveEdge(12+c, 18+c); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if split.Connected() {
+		t.Fatal("split grid is connected")
+	}
+	lollipop, err := graph.Named("lollipop:8:6")
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs := map[string]*graph.Graph{
+		"holed": holedGrid(t), "split": split, "lollipop": lollipop, "grid": graph.Grid(6, 6),
+	}
+	for name, g := range graphs {
+		found := 0
+		for seed := int64(1); seed <= 20; seed++ {
+			a, b := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+			u, v, ok := churn.PickBridgeEdge(g, a)
+			if e, okRef := refBridgeEdge(g, b); ok != okRef || u != e.U || v != e.V {
+				t.Fatalf("%s seed %d PickBridgeEdge: {%d,%d} %v, want %v %v", name, seed, u, v, ok, e, okRef)
+			}
+			x, ok := churn.PickCutVertex(g, 0, a)
+			if y, okRef := refCutVertex(g, 0, b); ok != okRef || x != y {
+				t.Fatalf("%s seed %d PickCutVertex: %d %v, want %d %v", name, seed, x, ok, y, okRef)
+			}
+			if ok {
+				found++
+			}
+			if x, y := a.Int63(), b.Int63(); x != y {
+				t.Fatalf("%s seed %d: generators out of step", name, seed)
+			}
+		}
+		if (found > 0) != (name != "grid") {
+			t.Fatalf("%s: %d of 20 cut-vertex picks succeeded", name, found)
+		}
 	}
 }
 

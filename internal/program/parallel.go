@@ -71,9 +71,13 @@ import (
 //     wave setting ⇒ bit-identical trace; a different worker count —
 //     or toggling waves — is a different (still legal) schedule.
 //
+// The guard cache is the one System uses (guards.go), with the same
+// invariant; the engine adds only its shard geometry, waves, per-worker
+// dirty lists and tallies, and phase A's per-shard pending marking.
+//
 // Topology churn composes by quiescence: worker goroutines only run
 // inside Step, so ApplyDelta always runs with no worker active. It repairs
-// the guard cache locally (same contract as System.ApplyDelta, growth
+// the guard cache locally (the same ApplyDelta head as System's, growth
 // included) and re-classifies interior/frontier membership only inside
 // the radius-R ball of the touched set; the wave schedule additionally
 // watches the 2R ball, because an edge flap can rewire frontier
@@ -153,15 +157,17 @@ func (rp ReshardPolicy) minInterval() int64 {
 }
 
 // ParallelSystem drives one protocol with sharded parallel
-// distributed-daemon steps. It is not safe for concurrent use by
-// multiple goroutines — parallelism lives inside Step, and every other
-// method (ApplyDelta, Legitimate checks, accessors) must be called
-// from the owning goroutine between steps, exactly where the engine
-// quiesces.
+// distributed-daemon steps. It schedules from the same guard cache as
+// System, under the same invariant: after every Step and ApplyDelta,
+// each node's cached action list equals a fresh Protocol.Enabled. It
+// is not safe for concurrent use by multiple goroutines — parallelism
+// lives inside Step, and every other method (ApplyDelta, Legitimate
+// checks, accessors) must be called from the owning goroutine between
+// steps, exactly where the engine quiesces.
 type ParallelSystem struct {
-	proto  Protocol
-	inf    Influencer
-	g      *graph.Graph
+	// The guard cache. Its dirty stamps are shared by the workers,
+	// whose owned regions keep concurrent stamp writes disjoint.
+	guards
 	radius int
 
 	workers    int
@@ -199,28 +205,12 @@ type ParallelSystem struct {
 	waveRebuilds     int64
 	reclassSkips     int64
 
-	// Guard cache, same invariant as System: after every Step and
-	// ApplyDelta, acts[v] equals a fresh Protocol.Enabled(v).
-	inited  bool
-	arena   []ActionID
-	acts    [][]ActionID
-	enabled []bool
-	count   int
-	seenN   int
-
-	// Dirty stamps shared by the workers: stamp[v] == epoch while v is
-	// queued for a refresh. Ownership keeps concurrent workers' stamps
-	// disjoint.
-	stamp    []int64
-	epoch    int64
-	infBuf   []graph.NodeID // ApplyDelta and isInterior scratch
+	infBuf   []graph.NodeID // isInterior scratch
 	classBuf []graph.NodeID // reclassify scratch, disjoint from infBuf
 
-	// Round bookkeeping (same definition as System's incremental mode).
-	pending      []bool
-	pendingCount int
-	roundOpen    bool
-	startRound   bool
+	// startRound asks phase A to mark the round's pending set, each
+	// worker for its own shard.
+	startRound bool
 
 	moves  int64
 	steps  int64
@@ -279,11 +269,8 @@ func NewParallelSystem(proto Protocol, cfg ParallelConfig) *ParallelSystem {
 	if act <= 0 || act > 1 {
 		act = 1
 	}
-	inf, _ := proto.(Influencer)
 	ps := &ParallelSystem{
-		proto:      proto,
-		inf:        inf,
-		g:          proto.Graph(),
+		guards:     newGuards(proto),
 		radius:     ProtocolRadius(proto),
 		workers:    w,
 		seed:       cfg.Seed,
@@ -291,7 +278,6 @@ func NewParallelSystem(proto Protocol, cfg ParallelConfig) *ParallelSystem {
 		record:     cfg.Record,
 		waves:      cfg.FrontierWaves,
 		reshard:    cfg.Reshard,
-		seenN:      proto.Graph().N(),
 		pool:       make([]*worker, w),
 		brng:       rand.New(rand.NewSource(shardSeed(cfg.Seed, -1))),
 		recentA:    make([]int64, w),
@@ -397,12 +383,7 @@ func (ps *ParallelSystem) BoundarySpanUnits() int64 { return ps.spanB }
 // ascending order and returns the extended slice.
 func (ps *ParallelSystem) EnabledNodes(buf []graph.NodeID) []graph.NodeID {
 	ps.ensureInit()
-	for v, on := range ps.enabled {
-		if on {
-			buf = append(buf, graph.NodeID(v))
-		}
-	}
-	return buf
+	return ps.enabledNodes(buf)
 }
 
 // EnabledCount returns the number of currently enabled processors.
@@ -443,33 +424,7 @@ func (ps *ParallelSystem) ensureInit() {
 		ps.recentA[s] = 0
 	}
 	ps.sinceReshard = 0
-
-	if ps.acts == nil {
-		ps.arena = make([]ActionID, n*actionStride)
-		ps.acts = make([][]ActionID, n)
-		for v := 0; v < n; v++ {
-			ps.acts[v] = ps.arena[v*actionStride : v*actionStride : (v+1)*actionStride]
-		}
-		ps.enabled = make([]bool, n)
-		ps.stamp = make([]int64, n)
-		ps.pending = make([]bool, n)
-	}
-	ps.count = 0
-	for v := 0; v < n; v++ {
-		id := graph.NodeID(v)
-		if ps.g.Alive(id) {
-			ps.acts[v] = ps.proto.Enabled(id, ps.acts[v][:0])
-		} else {
-			ps.acts[v] = ps.acts[v][:0]
-		}
-		on := len(ps.acts[v]) > 0
-		ps.enabled[v] = on
-		if on {
-			ps.count++
-		}
-	}
-	ps.roundOpen = false
-	ps.inited = true
+	ps.bootstrap()
 }
 
 // shardSeed derives a per-shard RNG seed (s = -1 is phase B)
@@ -834,27 +789,17 @@ func (w *worker) fire(u graph.NodeID, a ActionID, own region) {
 	if ps.record {
 		w.trace = append(w.trace, Move{Node: u, Action: a})
 	}
-	if ps.pending[u] {
-		ps.pending[u] = false
-		w.pendingD--
-	}
-	w.mark(u, u, ownAll)
+	w.pendingD += ps.discharge(u)
 	if ps.inf == nil {
 		// Default locality: influence = closed neighbourhood, inside
 		// the radius-R ball and so inside every owned region.
-		for _, q := range ps.g.Neighbors(u) {
-			if q != graph.None {
-				w.mark(q, u, ownAll)
-			}
-		}
-	} else {
-		if own == ownBall {
-			w.ball = InfluenceBall(ps.g, u, ps.radius, w.ball[:0])
-		}
-		w.infBuf = ps.inf.Influence(u, a, w.infBuf[:0])
-		for _, q := range w.infBuf {
-			w.mark(q, u, own)
-		}
+		own = ownAll
+	} else if own == ownBall {
+		w.ball = InfluenceBall(ps.g, u, ps.radius, w.ball[:0])
+	}
+	w.infBuf = ps.influence(u, a, w.infBuf[:0])
+	for _, q := range w.infBuf {
+		w.mark(q, u, own)
 	}
 	w.refresh()
 }
@@ -875,10 +820,7 @@ func (w *worker) mark(q, by graph.NodeID, own region) {
 		}
 		return
 	}
-	if w.ps.stamp[q] != w.ps.epoch {
-		w.ps.stamp[q] = w.ps.epoch
-		w.dirty = append(w.dirty, q)
-	}
+	w.dirty = w.ps.queue(q, w.dirty)
 }
 
 // refresh re-evaluates the guards of the worker's dirty nodes and
@@ -892,26 +834,12 @@ func (w *worker) refresh() {
 	ps := w.ps
 	for _, u := range w.dirty {
 		ps.stamp[u] = 0
-		was := ps.enabled[u]
 		if ps.g.Alive(u) {
-			ps.acts[u] = ps.proto.Enabled(u, ps.acts[u][:0])
 			w.work++
-		} else {
-			ps.acts[u] = ps.acts[u][:0]
 		}
-		now := len(ps.acts[u]) > 0
-		if now != was {
-			ps.enabled[u] = now
-			if now {
-				w.countD++
-			} else {
-				w.countD--
-			}
-		}
-		if !now && ps.pending[u] {
-			ps.pending[u] = false
-			w.pendingD--
-		}
+		dCount, dPending := ps.refresh(u)
+		w.countD += dCount
+		w.pendingD += dPending
 	}
 	w.dirty = w.dirty[:0]
 }
@@ -934,80 +862,34 @@ func (w *worker) collect() int64 {
 // ApplyDelta incorporates one topology mutation — already applied to
 // the protocol's graph — into the running parallel system. Worker
 // goroutines only run inside Step, so the call always finds the
-// engine quiesced; it runs the protocol's TopologyChanged hook,
-// repairs the guard cache for the touched set plus the returned
-// influence ball through worker 0 (appending cache slots when the
-// delta grew the id space — new ids join the last shard), and
-// re-classifies interior/frontier membership inside the radius-R ball
-// of the touched set, since only nodes that close to the mutation can
-// change sides of the disjointness test.
+// engine quiesced; it runs the guard cache's ApplyDelta head (the
+// protocol's TopologyChanged hook, and slot growth when the delta grew
+// the id space — new ids join the last shard), repairs the cache for
+// the touched set plus the returned influence ball through worker 0,
+// and re-classifies interior/frontier membership inside the radius-R
+// ball of the touched set, since only nodes that close to the mutation
+// can change sides of the disjointness test.
 func (ps *ParallelSystem) ApplyDelta(d graph.Delta) {
-	var ball []graph.NodeID
-	if ta, ok := ps.proto.(TopologyAware); ok {
-		ps.infBuf = ta.TopologyChanged(d, ps.infBuf[:0])
-		ball = ps.infBuf
-	} else {
-		ps.infBuf = ps.infBuf[:0]
-		for _, u := range d.Touched {
-			ps.infBuf = InfluenceClosedNeighborhood(ps.g, u, ps.infBuf)
-		}
-		ball = ps.infBuf
-	}
-	if n := ps.g.N(); n != ps.seenN {
-		if ps.inited {
-			ps.grow(n)
-		}
-		ps.seenN = n
-	}
+	w := ps.pool[0]
+	var grew bool
+	w.dirty, grew = ps.applyDelta(d, w.dirty)
 	if !ps.inited {
 		return
 	}
-	ps.epoch++
-	w := ps.pool[0]
-	for _, u := range d.Touched {
-		w.mark(u, u, ownAll)
-	}
-	for _, u := range ball {
-		w.mark(u, u, ownAll)
+	if grew {
+		// The new ids extend the last shard. A fresh node is isolated,
+		// so its radius ball is itself: interior until an AddEdge delta
+		// re-classifies it.
+		for v := len(ps.shardOf); v < ps.seenN; v++ {
+			ps.shardOf = append(ps.shardOf, int32(ps.workers-1))
+			ps.interior = append(ps.interior, true)
+		}
+		ps.bounds[ps.workers] = ps.seenN
+		ps.pool[ps.workers-1].hi = ps.seenN
 	}
 	w.refresh()
 	w.collect()
 	ps.reclassify(d.Touched)
-}
-
-// grow appends cache and geometry slots for a grown id space: the new
-// ids extend the last shard, the arena doubles when exhausted, and the
-// new slots start disabled until their deltas' refresh evaluates them
-// — amortised O(1) per appended node, the same growth contract as
-// System.growCaches.
-func (ps *ParallelSystem) grow(n int) {
-	old := len(ps.acts)
-	if need := n * actionStride; need > cap(ps.arena) {
-		newCap := 2 * cap(ps.arena)
-		if newCap < need {
-			newCap = need
-		}
-		arena := make([]ActionID, newCap)
-		for v := 0; v < old; v++ {
-			slot := arena[v*actionStride : v*actionStride : (v+1)*actionStride]
-			ps.acts[v] = append(slot, ps.acts[v]...)
-		}
-		ps.arena = arena
-	}
-	last := int32(ps.workers - 1)
-	for v := old; v < n; v++ {
-		ps.acts = append(ps.acts, ps.arena[v*actionStride:v*actionStride:(v+1)*actionStride])
-		ps.enabled = append(ps.enabled, false)
-		ps.stamp = append(ps.stamp, 0)
-		ps.pending = append(ps.pending, false)
-		ps.shardOf = append(ps.shardOf, last)
-		// A fresh node is isolated, so its radius ball is itself:
-		// interior to the last shard until an AddEdge delta
-		// re-classifies it.
-		ps.interior = append(ps.interior, true)
-	}
-	ps.bounds[ps.workers] = n
-	ps.pool[ps.workers-1].hi = n
 }
 
 // reclassify recomputes interior membership for every node within
@@ -1099,16 +981,7 @@ func (ps *ParallelSystem) applyBounds(bounds []int) {
 // re-scans every guard. Call it after mutating the protocol's
 // configuration behind the engine's back (Restore, Randomize,
 // CorruptNode), exactly as with System.
-func (ps *ParallelSystem) Invalidate() {
-	ps.inited = false
-	ps.roundOpen = false
-	if ps.pendingCount > 0 {
-		for v := range ps.pending {
-			ps.pending[v] = false
-		}
-		ps.pendingCount = 0
-	}
-}
+func (ps *ParallelSystem) Invalidate() { ps.invalidate() }
 
 // RunUntil steps the system until pred returns true, the configuration
 // becomes terminal, or maxSteps parallel steps have been taken. pred

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"netorient/internal/daemon"
@@ -232,25 +233,36 @@ func TestParallelHoldsForSurvivesIdleSteps(t *testing.T) {
 	}
 }
 
-// parallelCacheInvariant asserts the engine's enabled count equals a
-// fresh full guard scan — the dirty-set invariant, observable through
-// the public surface.
-func parallelCacheInvariant(t *testing.T, ps *program.ParallelSystem, p program.Protocol) {
+// guardCache is the surface cacheInvariant reads; both engines have it.
+type guardCache interface {
+	Protocol() program.Protocol
+	EnabledCount() int
+	EnabledNodes([]graph.NodeID) []graph.NodeID
+}
+
+// cacheInvariant asserts the engine's enabled set equals a fresh full
+// guard scan, node by node — the dirty-set invariant, observable
+// through the public surface.
+func cacheInvariant(t *testing.T, e guardCache) {
 	t.Helper()
+	p := e.Protocol()
 	g := p.Graph()
-	want := 0
+	var want []graph.NodeID
 	var buf []program.ActionID
 	for v := 0; v < g.N(); v++ {
 		if !g.Alive(graph.NodeID(v)) {
 			continue
 		}
-		buf = p.Enabled(graph.NodeID(v), buf[:0])
-		if len(buf) > 0 {
-			want++
+		if buf = p.Enabled(graph.NodeID(v), buf[:0]); len(buf) > 0 {
+			want = append(want, graph.NodeID(v))
 		}
 	}
-	if got := ps.EnabledCount(); got != want {
-		t.Fatalf("cached enabled count %d != fresh scan %d", got, want)
+	got := e.EnabledNodes(nil)
+	if !slices.Equal(got, want) {
+		t.Fatalf("cached enabled nodes %v != fresh scan %v", got, want)
+	}
+	if n := e.EnabledCount(); n != len(want) {
+		t.Fatalf("cached enabled count %d != fresh scan %d", n, len(want))
 	}
 }
 
@@ -307,8 +319,14 @@ func TestParallelChurn(t *testing.T) {
 	d, err = g.AddEdge(7, 8)
 	apply(d, err)
 	step(3)
-	// Id-space growth: append two fresh nodes and wire them in.
+	// Id-space growth: append two fresh nodes and wire them in. The
+	// second append follows an out-of-band corruption and Invalidate,
+	// so the bootstrap scan, not ApplyDelta, must size the grown slots.
 	for i := 0; i < 2; i++ {
+		if i == 1 {
+			p.(program.NodeCorruptor).CorruptNode(3, rand.New(rand.NewSource(5)))
+			ps.Invalidate()
+		}
 		nid, d := g.AddNode()
 		if int(nid) != 25+i {
 			t.Fatalf("expected appended id %d, got %d", 25+i, nid)
@@ -317,10 +335,10 @@ func TestParallelChurn(t *testing.T) {
 		dd, err := g.AddEdge(nid, graph.NodeID(i*10))
 		apply(dd, err)
 		step(2)
+		cacheInvariant(t, ps)
 	}
-	parallelCacheInvariant(t, ps, p)
 	ps.Reshard()
-	parallelCacheInvariant(t, ps, p)
+	cacheInvariant(t, ps)
 	res, err := ps.RunUntilLegitimate(int64(2000 * (g.N() + g.M())))
 	if err != nil {
 		t.Fatal(err)
@@ -328,7 +346,7 @@ func TestParallelChurn(t *testing.T) {
 	if !res.Converged {
 		t.Fatal("no convergence after churn")
 	}
-	parallelCacheInvariant(t, ps, p)
+	cacheInvariant(t, ps)
 }
 
 // parallelCounts is one run's counted units plus an FNV-1a hash of its
@@ -486,6 +504,7 @@ func TestSystemGrowthAppend(t *testing.T) {
 		if inc.EnabledCount() != full.EnabledCount() {
 			t.Fatalf("enabled counts diverge: %d vs %d", inc.EnabledCount(), full.EnabledCount())
 		}
+		cacheInvariant(t, inc)
 	}
 	if inc.Moves() != full.Moves() || inc.Rounds() != full.Rounds() {
 		t.Fatalf("accounting diverges: moves %d/%d rounds %d/%d",

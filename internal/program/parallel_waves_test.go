@@ -230,9 +230,9 @@ func TestParallelWaveChurn(t *testing.T) {
 	if ps.WaveRebuilds() == 0 {
 		t.Fatal("a churn campaign on a 5x5 grid never rebuilt the wave schedule")
 	}
-	parallelCacheInvariant(t, ps, p)
+	cacheInvariant(t, ps)
 	ps.Reshard()
-	parallelCacheInvariant(t, ps, p)
+	cacheInvariant(t, ps)
 	res, err := ps.RunUntilLegitimate(int64(2000 * (g.N() + g.M())))
 	if err != nil {
 		t.Fatal(err)
@@ -240,7 +240,7 @@ func TestParallelWaveChurn(t *testing.T) {
 	if !res.Converged {
 		t.Fatal("no convergence after churn")
 	}
-	parallelCacheInvariant(t, ps, p)
+	cacheInvariant(t, ps)
 }
 
 // TestParallelWaveReclassSkip proves the ApplyDelta classification
@@ -322,7 +322,7 @@ func TestParallelWaveReclassSkip(t *testing.T) {
 	}
 
 	step(3)
-	parallelCacheInvariant(t, ps, p)
+	cacheInvariant(t, ps)
 	res, err := ps.RunUntilLegitimate(int64(2000 * (g.N() + g.M())))
 	if err != nil {
 		t.Fatal(err)
@@ -484,5 +484,5 @@ func TestParallelReshardPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	replayOracle(t, shadow, initial, p.Snapshot(), ps.Trace())
-	parallelCacheInvariant(t, ps, p)
+	cacheInvariant(t, ps)
 }

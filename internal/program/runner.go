@@ -10,44 +10,35 @@ import (
 // ErrNoDaemon is returned by System methods when no daemon was set.
 var ErrNoDaemon = errors.New("program: system has no daemon")
 
-// actionStride is the per-node slot width of the enabled-action arena.
-// Every protocol in this library exposes at most six simultaneously
-// enabled actions per node; a node that exceeds the stride transparently
-// falls back to a privately grown buffer (the three-index slice below
-// caps capacity, so append reallocates instead of clobbering the next
-// node's slot).
-const actionStride = 8
-
 // System drives one protocol under one daemon and accounts for moves
 // and rounds. It is not safe for concurrent use.
 //
 // # Scheduling
 //
-// By default the System runs an event-driven incremental scheduler: it
-// caches every node's enabled-action list and, after a move at v,
-// re-evaluates guards only for the nodes the move can influence — v's
-// closed 1-hop neighbourhood unless the protocol declares a wider set
-// via the Influencer contract. The enabled set handed to the daemon is
-// an indexable EnabledSet view over a Fenwick (binary indexed) tree of
-// enabled bits, maintained with O(log n) work per enabledness flip, so
-// a step costs O(Δ·log n) bookkeeping plus the daemon's own queries —
-// there is no per-step candidate-slice rebuild, and a sampling daemon
-// makes steps sublinear in the enabled count outright.
+// By default the System runs an event-driven incremental scheduler on
+// the guard cache it shares with ParallelSystem: every node's
+// enabled-action list, re-evaluated after a move at v only for the
+// nodes the move can influence — v's closed 1-hop neighbourhood unless
+// the protocol declares a wider set via the Influencer contract. The
+// enabled set handed to the daemon is an indexable EnabledSet view
+// over a Fenwick (binary indexed) tree of enabled bits, maintained
+// with O(log n) work per enabledness flip, so a step costs O(Δ·log n)
+// bookkeeping plus the daemon's own queries — there is no per-step
+// candidate-slice rebuild, and a sampling daemon makes steps sublinear
+// in the enabled count outright.
 // NewSystemFullScan still provides the Θ(n)-scan seed runner as a
 // differential-testing oracle. Both schedulers produce bit-identical
 // executions: EnabledSet enumerates processors in ascending node
 // order, exactly as a full scan does, so a deterministic (or seeded)
 // daemon makes the same selections either way.
 //
-// The dirty-set invariant the incremental scheduler maintains: after
-// every Step, the cached action list of every node equals what
-// Protocol.Enabled would report on the current configuration. The
-// invariant holds because guards read only locally-shared variables:
-// any guard change is attributable to a fired move whose Influence set
-// covers the changed node. Mutating the protocol's configuration
-// behind the System's back (Restore, Randomize, CorruptNode) breaks
-// the invariant; call Invalidate afterwards — or create a fresh System,
-// or call ResetCounters, both of which invalidate implicitly.
+// The cache keeps the dirty-set invariant stated on the shared guard
+// cache (guards.go): after every Step and ApplyDelta, the cached action
+// list of every node equals what Protocol.Enabled would report on the
+// current configuration. Mutating the protocol's configuration behind
+// the System's back (Restore, Randomize, CorruptNode) breaks it; call
+// Invalidate afterwards — or create a fresh System, or call
+// ResetCounters, both of which invalidate implicitly.
 //
 // # Legitimacy
 //
@@ -58,9 +49,7 @@ const actionStride = 8
 // the O(n) Legitimate() scan. Witness state obeys the same invariant
 // and the same Invalidate contract as the guard cache.
 type System struct {
-	proto  Protocol
-	inf    Influencer // cached type assertion; nil ⇒ default 1-hop locality
-	g      *graph.Graph
+	guards
 	daemon Daemon
 
 	moves  int64
@@ -69,34 +58,17 @@ type System struct {
 
 	fullScan bool
 
-	// Incremental scheduler state (valid iff inited).
-	inited  bool
-	arena   []ActionID     // backing storage for acts, one stride per node
-	acts    [][]ActionID   // per-node cached enabled-action lists
-	enabled []bool         // enabled[v] ⇔ len(acts[v]) > 0
-	count   int            // number of enabled nodes
+	// Incremental scheduler state beside the shared guard cache (valid
+	// iff inited).
 	fen     []int32        // Fenwick tree over enabled bits, 1-indexed
-	fenHigh int            // largest power of two ≤ n, for select queries
+	fenHigh int            // power-of-two capacity ≥ n, for select queries
 	dirty   []graph.NodeID // nodes to re-evaluate this step
-	mark    []int64        // epoch stamps deduplicating dirty
-	epoch   int64
 	infBuf  []graph.NodeID
-
-	// deltaBall is the influence ball the last ApplyDelta repaired
-	// besides the delta's Touched set (see DeltaBall).
-	deltaBall []graph.NodeID
 
 	// Rank-query memo: the last At(i) answered, so the At/Actions pair
 	// every daemon issues costs one Fenwick select, not two.
 	memoIdx  int
 	memoNode graph.NodeID
-
-	// Round bookkeeping, incremental flavour: pending[v] holds the
-	// processors that were enabled when the current round began and
-	// have neither moved nor been seen disabled since.
-	pending      []bool
-	pendingCount int
-	roundOpen    bool
 
 	// Round bookkeeping, full-scan flavour (legacy map form, kept
 	// untouched so the oracle stays byte-for-byte the seed algorithm).
@@ -105,11 +77,6 @@ type System struct {
 	// Armed incremental legitimacy witness (nil when disarmed); the
 	// dirty-set refresh keeps it synchronised with the configuration.
 	witness Witness
-
-	// seenN is the node count the caches were sized for; ApplyDelta
-	// appends fresh slots (amortised O(1) each) when a delta grew the
-	// id space.
-	seenN int
 
 	// Reusable buffers.
 	fullCands []Candidate
@@ -122,8 +89,7 @@ type System struct {
 // NewSystem returns a System for proto under d, using the incremental
 // enabled-set scheduler.
 func NewSystem(proto Protocol, d Daemon) *System {
-	inf, _ := proto.(Influencer)
-	return &System{proto: proto, daemon: d, g: proto.Graph(), inf: inf, seenN: proto.Graph().N()}
+	return &System{guards: newGuards(proto), daemon: d}
 }
 
 // NewSystemFullScan returns a System that re-evaluates every node's
@@ -172,16 +138,9 @@ func (s *System) ResetCounters() {
 // every guard once and resumes incremental maintenance from there; the
 // next RunUntilLegitimate re-arms the witness from scratch.
 func (s *System) Invalidate() {
-	s.inited = false
-	s.roundOpen = false
+	s.invalidate()
 	s.pendingMap = nil
 	s.witness = nil
-	if s.pendingCount > 0 {
-		for v := range s.pending {
-			s.pending[v] = false
-		}
-		s.pendingCount = 0
-	}
 }
 
 // ApplyDelta incorporates one topology mutation — already applied to
@@ -207,11 +166,12 @@ func (s *System) Invalidate() {
 // is sound only for protocols whose guards and derived facts are
 // 1-hop local and hole-tolerant; anything else should either implement
 // the hook or use Invalidate. A delta that grew the node id space
-// (AddNode past every dead slot) takes the append growth path: the
-// per-node cache geometry is extended in place with capacity doubling
-// (the Fenwick index is kept sized to a power-of-two capacity with a
-// zero tail, so a grown leaf is one O(log n) flip, not a rebuild), the
-// new node's guards join the delta's dirty set, and round tracking
+// (AddNode past every dead slot) takes the append growth path shared
+// with ParallelSystem: the per-node cache slots are extended in place
+// with capacity doubling (the Fenwick index is kept sized to a
+// power-of-two capacity with a zero tail, so a grown leaf is one
+// O(log n) flip, not a rebuild), the new node's guards join the
+// delta's dirty set, and round tracking
 // stays open — amortised O(1) per appended node, which is what lets a
 // graph grow live to 10⁶–10⁷ nodes without Θ(n) per AddNode. Witnesses
 // stay armed across ApplyDelta, except across growth (their per-node
@@ -219,25 +179,17 @@ func (s *System) Invalidate() {
 // re-arms on the next legitimacy query. If the hook invalidated the
 // protocol's counters they likewise re-arm lazily.
 func (s *System) ApplyDelta(d graph.Delta) {
-	if ta, ok := s.proto.(TopologyAware); ok {
-		s.deltaBall = ta.TopologyChanged(d, s.deltaBall[:0])
-	} else {
-		s.deltaBall = s.deltaBall[:0]
-		for _, u := range d.Touched {
-			s.deltaBall = InfluenceClosedNeighborhood(s.g, u, s.deltaBall)
-		}
-	}
-	if n := s.g.N(); n != s.seenN {
-		// The id space grew. Append cache slots for the new ids (the
-		// new nodes are isolated until their AddEdge deltas arrive, so
-		// the touched set below covers every guard the growth can
-		// change); the witness is dropped — its counters are per-node —
-		// and re-arms on the next legitimacy query.
-		if s.acts != nil {
-			s.growCaches(n)
-		}
-		s.seenN = n
+	var grew bool
+	s.dirty, grew = s.applyDelta(d, s.dirty[:0])
+	if grew {
+		// The witness's counters are per-node: drop it; it re-arms on
+		// the next legitimacy query. The Fenwick index re-doubles only
+		// when n outgrows its capacity; otherwise the new leaves land in
+		// its zero tail.
 		s.witness = nil
+		if s.inited && len(s.enabled) > s.fenHigh {
+			s.buildFenwick()
+		}
 	}
 	if s.fullScan {
 		// No guard cache to repair; the delta is a settle point for
@@ -272,14 +224,6 @@ func (s *System) ApplyDelta(d graph.Delta) {
 		}
 		return
 	}
-	s.epoch++
-	s.dirty = s.dirty[:0]
-	for _, u := range d.Touched {
-		s.markDirty(u)
-	}
-	for _, u := range s.deltaBall {
-		s.markDirty(u)
-	}
 	s.refreshDirty()
 }
 
@@ -291,113 +235,40 @@ func (s *System) ApplyDelta(d graph.Delta) {
 // ApplyDelta.
 func (s *System) DeltaBall() []graph.NodeID { return s.deltaBall }
 
-// ensureInit performs the one full guard scan the incremental scheduler
-// needs to bootstrap its cache.
+// ensureInit bootstraps the guard cache with its one full scan and
+// builds the Fenwick index over it.
 func (s *System) ensureInit() {
 	if s.inited {
 		return
 	}
-	n := s.g.N()
-	if s.acts == nil {
-		s.arena = make([]ActionID, n*actionStride)
-		s.acts = make([][]ActionID, n)
-		for v := 0; v < n; v++ {
-			s.acts[v] = s.arena[v*actionStride : v*actionStride : (v+1)*actionStride]
-		}
-		s.enabled = make([]bool, n)
-		s.mark = make([]int64, n)
-		s.pending = make([]bool, n)
-		// The Fenwick index is sized to a power-of-two capacity ≥ n
-		// with an all-zero tail, so an AddNode that grows the id space
-		// extends it with one leaf flip instead of a rebuild
-		// (growCaches re-doubles the capacity when the tail runs out).
-		s.fenHigh = 1
-		for s.fenHigh < n {
-			s.fenHigh <<= 1
-		}
+	s.bootstrap()
+	s.buildFenwick()
+	s.memoIdx = -1
+}
+
+// buildFenwick sizes the Fenwick index to a power-of-two capacity ≥ n
+// with an all-zero tail — so an AddNode that grows the id space extends
+// it with one leaf flip until the tail runs out — and rebuilds it in
+// linear time from the enabled bits.
+func (s *System) buildFenwick() {
+	s.fenHigh = max(s.fenHigh, 1)
+	for s.fenHigh < len(s.enabled) {
+		s.fenHigh <<= 1
+	}
+	if len(s.fen) != s.fenHigh+1 {
 		s.fen = make([]int32, s.fenHigh+1)
+	} else {
+		clear(s.fen)
 	}
-	for i := range s.fen {
-		s.fen[i] = 0
-	}
-	s.count = 0
-	for v := 0; v < n; v++ {
-		id := graph.NodeID(v)
-		if s.g.Alive(id) {
-			s.acts[v] = s.proto.Enabled(id, s.acts[v][:0])
-		} else {
-			// Dead processors execute nothing; the scheduler owns this
-			// rule so protocols keep their guards liveness-oblivious.
-			s.acts[v] = s.acts[v][:0]
-		}
-		on := len(s.acts[v]) > 0
-		s.enabled[v] = on
+	for v, on := range s.enabled {
 		if on {
 			s.fen[v+1] = 1
-			s.count++
 		}
 	}
-	// Linear Fenwick build from the leaf bits (the capacity tail past
-	// n holds zero leaves and stays zero).
 	for i := 1; i < len(s.fen); i++ {
 		if j := i + (i & -i); j < len(s.fen) {
 			s.fen[j] += s.fen[i]
 		}
-	}
-	s.memoIdx = -1
-	s.inited = true
-}
-
-// growCaches extends the per-node cache geometry from len(acts) to n
-// slots, in place: the arena doubles its capacity when exhausted
-// (rebasing every cached list so steady-state guard refreshes stay
-// allocation-free), per-node arrays append zero slots, and the Fenwick
-// index re-doubles only when n outgrows its power-of-two capacity —
-// otherwise the new leaves land in its existing zero tail for free.
-// Amortised over a growth campaign this is O(1) per appended node,
-// versus the Θ(n) invalidate-and-rescan the seed runner paid. The new
-// slots start disabled; the caller marks the grown ids dirty so their
-// guards are evaluated before the next selection.
-func (s *System) growCaches(n int) {
-	old := len(s.acts)
-	if need := n * actionStride; need > cap(s.arena) {
-		newCap := 2 * cap(s.arena)
-		if newCap < need {
-			newCap = need
-		}
-		arena := make([]ActionID, newCap)
-		for v := 0; v < old; v++ {
-			slot := arena[v*actionStride : v*actionStride : (v+1)*actionStride]
-			s.acts[v] = append(slot, s.acts[v]...)
-		}
-		s.arena = arena
-	}
-	for v := old; v < n; v++ {
-		s.acts = append(s.acts, s.arena[v*actionStride:v*actionStride:(v+1)*actionStride])
-		s.enabled = append(s.enabled, false)
-		s.mark = append(s.mark, 0)
-		s.pending = append(s.pending, false)
-	}
-	if n > s.fenHigh {
-		capN := s.fenHigh
-		if capN < 1 {
-			capN = 1
-		}
-		for capN < n {
-			capN <<= 1
-		}
-		fen := make([]int32, capN+1)
-		for v := 0; v < old; v++ {
-			if s.enabled[v] {
-				fen[v+1] = 1
-			}
-		}
-		for i := 1; i < len(fen); i++ {
-			if j := i + (i & -i); j < len(fen) {
-				fen[j] += fen[i]
-			}
-		}
-		s.fen, s.fenHigh = fen, capN
 	}
 }
 
@@ -468,33 +339,6 @@ func (w incView) Actions(i int, buf []ActionID) []ActionID {
 // Contains implements EnabledSet.
 func (w incView) Contains(v graph.NodeID) bool { return w.s.enabled[v] }
 
-// markDirty queues u for guard re-evaluation at the end of the step.
-func (s *System) markDirty(u graph.NodeID) {
-	if s.mark[u] != s.epoch {
-		s.mark[u] = s.epoch
-		s.dirty = append(s.dirty, u)
-	}
-}
-
-// markInfluence queues every node whose guard the fired move (v, a)
-// may have changed: the protocol's declared Influence set, or the
-// closed 1-hop neighbourhood by default. v itself is always queued.
-func (s *System) markInfluence(v graph.NodeID, a ActionID) {
-	s.markDirty(v)
-	if s.inf != nil {
-		s.infBuf = s.inf.Influence(v, a, s.infBuf[:0])
-		for _, u := range s.infBuf {
-			s.markDirty(u)
-		}
-		return
-	}
-	for _, q := range s.g.Neighbors(v) {
-		if q != graph.None {
-			s.markDirty(q)
-		}
-	}
-}
-
 // beginRoundIncremental records the currently enabled processors as the
 // new round's pending set. Sparse sets walk the Fenwick index
 // (O(count·log n) — steady-state rounds close every few steps, so a
@@ -548,11 +392,11 @@ func (s *System) Step() (int, error) {
 		if s.proto.Execute(mv.Node, mv.Action) {
 			fired++
 			s.moves++
-			if s.pending[mv.Node] {
-				s.pending[mv.Node] = false
-				s.pendingCount--
+			s.pendingCount += s.discharge(mv.Node)
+			s.infBuf = s.influence(mv.Node, mv.Action, s.infBuf[:0])
+			for _, u := range s.infBuf {
+				s.dirty = s.queue(u, s.dirty)
 			}
-			s.markInfluence(mv.Node, mv.Action)
 			if s.MoveHook != nil {
 				s.MoveHook(mv)
 			}
@@ -576,27 +420,12 @@ func (s *System) refreshDirty() {
 		return
 	}
 	for _, v := range s.dirty {
-		was := s.enabled[v]
-		if s.g.Alive(v) {
-			s.acts[v] = s.proto.Enabled(v, s.acts[v][:0])
-		} else {
-			s.acts[v] = s.acts[v][:0]
+		dCount, dPending := s.refresh(v)
+		if dCount != 0 {
+			s.fenFlip(v, int32(dCount))
+			s.count += dCount
 		}
-		now := len(s.acts[v]) > 0
-		if now != was {
-			s.enabled[v] = now
-			if now {
-				s.fenFlip(v, 1)
-				s.count++
-			} else {
-				s.fenFlip(v, -1)
-				s.count--
-			}
-		}
-		if !now && s.pending[v] {
-			s.pending[v] = false
-			s.pendingCount--
-		}
+		s.pendingCount += dPending
 		if s.witness != nil {
 			s.witness.WitnessRefresh(v)
 		}
@@ -754,10 +583,5 @@ func (s *System) EnabledNodes(buf []graph.NodeID) []graph.NodeID {
 		return buf
 	}
 	s.ensureInit()
-	for v, on := range s.enabled {
-		if on {
-			buf = append(buf, graph.NodeID(v))
-		}
-	}
-	return buf
+	return s.enabledNodes(buf)
 }
