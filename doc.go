@@ -53,10 +53,13 @@
 //     per-cycle snapshot map that cost O(n²) bytes and made 64k-node
 //     stacks unconstructible.
 //
-// Steps allocate nothing in steady state, and both contracts produce
-// bit-identical executions (moves, steps, rounds, final configuration)
-// to the full-scan reference runner, which program.NewSystemFullScan
-// keeps available as a differential-testing oracle. Every protocol
+// Steps allocate nothing in steady state: every visited set an engine
+// needs for a ball or a search is a graph.Marks it owns, not a pooled
+// one, so the zero-allocation gates are exact, under -race too. Both
+// contracts produce bit-identical executions (moves, steps, rounds,
+// final configuration) to the full-scan reference runner, which
+// program.NewSystemFullScan keeps available as a differential-testing
+// oracle. Every protocol
 // package declares and documents its influence audit;
 // program.CheckLocality verifies the declarations empirically, and the
 // differential suite in internal/program locksteps both schedulers and

@@ -209,8 +209,7 @@ type Runtime struct {
 	stopped  bool
 	pred     func() bool
 	infBuf   []graph.NodeID
-	mark     []uint64 // epoch stamps deduplicating node sets in Mutate's repair
-	epoch    uint64
+	seen     graph.Marks    // node-set scratch of Mutate's repair: the affected set, then each ball
 	affected []graph.NodeID // the nodes whose ball and links Mutate repairs
 
 	// linkMu guards the link map and the mbox slice (both edited in
@@ -292,7 +291,6 @@ func (r *Runtime) growLocked() {
 	for v := len(r.ver); v < r.g.N(); v++ {
 		r.ver = append(r.ver, 0)
 		r.ball = append(r.ball, nil)
-		r.mark = append(r.mark, 0)
 		r.mbox = append(r.mbox, make(chan message, r.cfg.Mailbox))
 		if r.state.Load() == int32(stateRunning) {
 			r.wg.Add(1)
@@ -310,21 +308,19 @@ func (r *Runtime) growLocked() {
 // here it is modeled as a (faulty) virtual link. Caller holds mu and
 // linkMu (or is New).
 func (r *Runtime) repairLocked(w graph.NodeID) {
-	r.epoch++
-	r.infBuf = program.InfluenceBall(r.g, w, r.radius, r.infBuf[:0])
+	r.infBuf = program.InfluenceBall(r.g, w, r.radius, &r.seen, r.infBuf[:0])
 	b := r.infBuf[:0]
 	for _, q := range r.infBuf {
 		if q == w {
 			continue
 		}
-		r.mark[q] = r.epoch
 		b = append(b, q)
 		if k := linkKey(w, q); r.links[k] == nil {
 			r.links[k] = &link{rng: uint64(r.cfg.Seed) ^ k, dst: r.mbox[q]}
 		}
 	}
 	for _, q := range r.ball[w] {
-		if r.mark[q] != r.epoch {
+		if !r.seen.Has(q) {
 			delete(r.links, linkKey(w, q))
 		}
 	}
@@ -791,15 +787,14 @@ func (r *Runtime) Mutate(f func() (graph.Delta, error)) error {
 	for _, u := range r.sys.DeltaBall() {
 		r.ver[u]++
 	}
-	r.epoch++
+	r.seen.Reset(r.g.N())
 	r.affected = append(r.affected[:0], d.Touched...)
 	for _, t := range d.Touched {
-		r.mark[t] = r.epoch
+		r.seen.Add(t)
 	}
 	for _, t := range d.Touched {
 		for _, q := range r.ball[t] {
-			if r.mark[q] != r.epoch {
-				r.mark[q] = r.epoch
+			if r.seen.Add(q) {
 				r.affected = append(r.affected, q)
 			}
 		}

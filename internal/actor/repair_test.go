@@ -69,10 +69,11 @@ func checkRepair(t *testing.T, rt *Runtime, before []uint64, d *graph.Delta, wha
 			t.Fatalf("after %s: per-node arrays %d/%d/%d, N=%d", what, len(rt.ball), len(rt.ver), len(rt.mbox), g.N())
 		}
 		nlinks := 0
+		var seen graph.Marks
 		for v := 0; v < g.N(); v++ {
 			id := graph.NodeID(v)
 			var want []graph.NodeID
-			for _, q := range program.InfluenceBall(g, id, rt.radius, nil) {
+			for _, q := range program.InfluenceBall(g, id, rt.radius, &seen, nil) {
 				if q != id {
 					want = append(want, q)
 				}
@@ -255,8 +256,7 @@ func flapCost(t testing.TB, rows, cols int) (allocs, bytes float64) {
 // in count or in bytes, on grid:32x32 than on grid:10x10, up to a small
 // slack. Rebuilding every ball, the whole link map or any n-sized
 // array on a delta would scale them with n; a count alone misses a few
-// large allocations. Bytes are not compared under -race: there
-// sync.Pool drops a random share of InfluenceBall's n-sized scratch.
+// large allocations.
 func TestMutateFlapAllocsLocal(t *testing.T) {
 	smallN, smallB := flapCost(t, 10, 10)
 	largeN, largeB := flapCost(t, 32, 32)
@@ -264,7 +264,7 @@ func TestMutateFlapAllocsLocal(t *testing.T) {
 	if largeN > smallN+4 {
 		t.Errorf("flap allocs: %v on grid:32x32, %v on grid:10x10", largeN, smallN)
 	}
-	if !raceEnabled && largeB > smallB+256 {
+	if largeB > smallB+256 {
 		t.Errorf("flap bytes: %v on grid:32x32, %v on grid:10x10", largeB, smallB)
 	}
 }

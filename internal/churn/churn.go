@@ -379,13 +379,15 @@ func CutDown(g *graph.Graph, cut []graph.Edge, apply func(graph.Delta)) (func() 
 // keeps the live graph connected, by rejection sampling (every
 // connected graph that is not a tree has one; on a tree ok is false).
 func PickFlapEdge(g *graph.Graph, rng *rand.Rand) (u, v graph.NodeID, ok bool) {
+	pickMu.Lock()
+	defer pickMu.Unlock()
 	m := g.M()
 	if m == 0 {
 		return graph.None, graph.None, false
 	}
 	for attempts := 0; attempts < 4*m+16; attempts++ {
 		e := edgeAt(g, rng.Intn(m))
-		if connectedWithoutEdge(g, e.U, e.V) {
+		if connectedWithoutEdge(&pick, g, e.U, e.V) {
 			return e.U, e.V, true
 		}
 	}
@@ -395,13 +397,15 @@ func PickFlapEdge(g *graph.Graph, rng *rand.Rand) (u, v graph.NodeID, ok bool) {
 // PickCrashNode returns a uniformly random live non-root node whose
 // removal keeps the rest of the live graph connected.
 func PickCrashNode(g *graph.Graph, root graph.NodeID, rng *rand.Rand) (graph.NodeID, bool) {
+	pickMu.Lock()
+	defer pickMu.Unlock()
 	n := g.N()
 	for attempts := 0; attempts < 4*n+16; attempts++ {
 		v := graph.NodeID(rng.Intn(n))
 		if v == root || !g.Alive(v) {
 			continue
 		}
-		if connectedWithoutNode(g, root, v) {
+		if connectedWithoutNode(&pick, g, root, v) {
 			return v, true
 		}
 	}
@@ -472,13 +476,15 @@ func PickAnyNode(g *graph.Graph, root graph.NodeID, rng *rand.Rand) (graph.NodeI
 // (2-edge-connected components only). One lowlink pass flags every
 // bridge, so a pick costs O(n+m) whether or not it succeeds.
 func PickBridgeEdge(g *graph.Graph, rng *rand.Rand) (u, v graph.NodeID, ok bool) {
+	pickMu.Lock()
+	defer pickMu.Unlock()
 	edges := g.Edges()
 	if len(edges) == 0 {
 		return graph.None, graph.None, false
 	}
 	perm := rng.Perm(len(edges))
-	ll := lowlink(g)
-	defer lowlinkPool.Put(ll)
+	ll := &pick.ll
+	ll.pass(g)
 	for _, i := range perm {
 		if e := edges[i]; ll.bridge(e.U, e.V) {
 			return e.U, e.V, true
@@ -492,9 +498,11 @@ func PickBridgeEdge(g *graph.Graph, rng *rand.Rand) (u, v graph.NodeID, ok bool)
 // one in a random permutation of the ids; ok is false when no non-root
 // node is one. Like PickBridgeEdge it costs one lowlink pass.
 func PickCutVertex(g *graph.Graph, root graph.NodeID, rng *rand.Rand) (graph.NodeID, bool) {
+	pickMu.Lock()
+	defer pickMu.Unlock()
 	perm := rng.Perm(g.N())
-	ll := lowlink(g)
-	defer lowlinkPool.Put(ll)
+	ll := &pick.ll
+	ll.pass(g)
 	for _, i := range perm {
 		if v := graph.NodeID(i); v != root && g.Alive(v) && ll.flag[v]&flagCut != 0 {
 			return v, true
@@ -503,15 +511,13 @@ func PickCutVertex(g *graph.Graph, root graph.NodeID, rng *rand.Rand) (graph.Nod
 	return graph.None, false
 }
 
-// lowlink runs one iterative Tarjan lowlink pass over every live
-// component of g and returns its verdicts: the DFS parent of each live
-// node, flagBridge on each node whose tree edge to its parent is a
+// pass runs one iterative Tarjan lowlink pass over every live
+// component of g and leaves its verdicts in ll: the DFS parent of each
+// live node, flagBridge on each node whose tree edge to its parent is a
 // bridge, and flagCut on each cut vertex. A verdict is relative to the
 // node's own component, so it is sound on an already-disconnected
-// graph. O(n+m), with no allocation once the pooled state is sized;
-// the caller returns it to lowlinkPool.
-func lowlink(g *graph.Graph) *lowlinks {
-	ll := lowlinkPool.Get().(*lowlinks)
+// graph. O(n+m), with no allocation once the state is sized.
+func (ll *lowlinks) pass(g *graph.Graph) {
 	n := g.N()
 	if len(ll.disc) < n {
 		*ll = lowlinks{
@@ -564,13 +570,11 @@ func lowlink(g *graph.Graph) *lowlinks {
 			ll.flag[r] |= flagCut
 		}
 	}
-	return ll
 }
 
 // lowlinks is the reusable state of a lowlink pass: discovery times
 // (−1 while unvisited), lowlink values, port cursors, DFS parents,
-// verdict flags and the DFS stack. Pooled like scratch, and kept apart
-// from it so the far more frequent sweeps stay small.
+// verdict flags and the DFS stack.
 type lowlinks struct {
 	disc, low, next []int32
 	parent          []graph.NodeID
@@ -583,8 +587,6 @@ const (
 	flagBridge uint8 = 1 << iota // the tree edge to the node's parent is a bridge
 	flagCut                      // the node is a cut vertex
 )
-
-var lowlinkPool = sync.Pool{New: func() any { return new(lowlinks) }}
 
 // enter discovers v at time clock, with DFS parent p, and pushes it.
 func (ll *lowlinks) enter(v, p graph.NodeID, clock int32) {
@@ -604,6 +606,8 @@ func (ll *lowlinks) bridge(u, v graph.NodeID) bool {
 // region and the rest — removing them all disconnects exactly that
 // region.
 func PickPartitionCut(g *graph.Graph, root graph.NodeID, size int, rng *rand.Rand) ([]graph.Edge, bool) {
+	pickMu.Lock()
+	defer pickMu.Unlock()
 	n := g.N()
 	var seed graph.NodeID = graph.None
 	for attempts := 0; attempts < 4*n+16; attempts++ {
@@ -616,8 +620,8 @@ func PickPartitionCut(g *graph.Graph, root graph.NodeID, size int, rng *rand.Ran
 	if seed == graph.None {
 		return nil, false
 	}
-	sc := getScratch(g)
-	defer scratchPool.Put(sc)
+	sc := &pick
+	sc.reset(g)
 	// The region is sc.queue in BFS order: the queue keeps every node
 	// it ever held, and head walks the frontier.
 	sc.mark(seed)
@@ -662,19 +666,19 @@ func PickPartitionCut(g *graph.Graph, root graph.NodeID, size int, rng *rand.Ran
 
 // connectedWithoutEdge reports whether the live graph stays connected
 // with the edge {a,b} ignored.
-func connectedWithoutEdge(g *graph.Graph, a, b graph.NodeID) bool {
-	return sweep(g, a, func(u, q graph.NodeID) bool {
+func connectedWithoutEdge(sc *scratch, g *graph.Graph, a, b graph.NodeID) bool {
+	return sweep(sc, g, a, func(u, q graph.NodeID) bool {
 		return (u == a && q == b) || (u == b && q == a)
 	}) == g.NAlive()
 }
 
 // connectedWithoutNode reports whether every live node except x is
 // reachable from start with x ignored.
-func connectedWithoutNode(g *graph.Graph, start, x graph.NodeID) bool {
+func connectedWithoutNode(sc *scratch, g *graph.Graph, start, x graph.NodeID) bool {
 	if start == x {
 		return false
 	}
-	reached := sweep(g, start, func(u, q graph.NodeID) bool {
+	reached := sweep(sc, g, start, func(u, q graph.NodeID) bool {
 		return q == x
 	})
 	return reached == g.NAlive()-1
@@ -682,9 +686,8 @@ func connectedWithoutNode(g *graph.Graph, start, x graph.NodeID) bool {
 
 // sweep BFS-counts the live nodes reachable from start, skipping
 // traversals for which skip(from, to) holds.
-func sweep(g *graph.Graph, start graph.NodeID, skip func(u, q graph.NodeID) bool) int {
-	sc := getScratch(g)
-	defer scratchPool.Put(sc)
+func sweep(sc *scratch, g *graph.Graph, start graph.NodeID, skip func(u, q graph.NodeID) bool) int {
+	sc.reset(g)
 	sc.mark(start)
 	for head := 0; head < len(sc.queue); head++ {
 		u := sc.queue[head]
@@ -698,40 +701,32 @@ func sweep(g *graph.Graph, start graph.NodeID, skip func(u, q graph.NodeID) bool
 	return len(sc.queue)
 }
 
-// scratch is the reusable BFS state of sweep and PickPartitionCut: an
-// epoch-stamped visited array, so clearing it is one counter increment,
-// and a queue that keeps every node it was given. Pooled because the
-// pickers are package-level functions with no receiver to hang it off.
+// scratch is the pickers' reusable state: the BFS visited set and
+// queue of sweep and PickPartitionCut, and the lowlink pass. The
+// pickers are package-level functions, so one instance serves them all
+// behind pickMu: each exported picker that needs it locks it once at
+// entry and hands it to its helpers.
 type scratch struct {
-	stamp []uint32
-	epoch uint32
-	queue []graph.NodeID
+	seen  graph.Marks
+	queue []graph.NodeID // every node marked since reset, in order
+	ll    lowlinks
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+var (
+	pickMu sync.Mutex
+	pick   scratch
+)
 
-// getScratch returns a pooled scratch sized for g, with no node marked
-// and an empty queue.
-func getScratch(g *graph.Graph) *scratch {
-	sc := scratchPool.Get().(*scratch)
-	if len(sc.stamp) < g.N() {
-		sc.stamp = make([]uint32, g.N())
-		sc.queue = make([]graph.NodeID, 0, g.N())
-		sc.epoch = 0
-	}
-	sc.epoch++
-	if sc.epoch == 0 { // stamp wrap: stale stamps could collide, wipe once
-		clear(sc.stamp)
-		sc.epoch = 1
-	}
-	sc.queue = sc.queue[:0]
-	return sc
+// reset empties the visited set and the queue, sized for g.
+func (sc *scratch) reset(g *graph.Graph) {
+	sc.seen.Reset(g.N())
+	sc.queue = slices.Grow(sc.queue[:0], g.N())
 }
 
 // mark records v as visited and enqueues it.
 func (sc *scratch) mark(v graph.NodeID) {
-	sc.stamp[v] = sc.epoch
+	sc.seen.Add(v)
 	sc.queue = append(sc.queue, v)
 }
 
-func (sc *scratch) marked(v graph.NodeID) bool { return sc.stamp[v] == sc.epoch }
+func (sc *scratch) marked(v graph.NodeID) bool { return sc.seen.Has(v) }

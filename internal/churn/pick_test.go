@@ -1,9 +1,11 @@
 package churn_test
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"netorient/internal/churn"
@@ -257,12 +259,8 @@ func TestPickersMatchSliceReference(t *testing.T) {
 
 // TestPickersAllocateNothing pins the pickers' reusable scratch: after
 // warm-up, edge and crash picks allocate nothing and a partition pick
-// allocates only the cut it returns. Not run under -race, whose
-// sync.Pool drops a random share of the pooled scratch.
+// allocates only the cut it returns.
 func TestPickersAllocateNothing(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops pooled scratch at random under -race")
-	}
 	g := holedGrid(t)
 	rng := rand.New(rand.NewSource(1))
 	for name, pick := range map[string]func(){
@@ -277,4 +275,42 @@ func TestPickersAllocateNothing(t *testing.T) {
 	if a := testing.AllocsPerRun(50, func() { churn.PickPartitionCut(g, 0, 5, rng) }); a != 1 {
 		t.Errorf("PickPartitionCut allocates %v times per pick, want 1 (the cut)", a)
 	}
+}
+
+// TestPickersConcurrent: the pickers share one package-level scratch
+// behind a mutex, so picks running at once on graphs of different sizes
+// must each return what the same picks return alone.
+func TestPickersConcurrent(t *testing.T) {
+	picks := func(g *graph.Graph, seed int64) string {
+		rng := rand.New(rand.NewSource(seed))
+		var out []any
+		for i := 0; i < 10; i++ {
+			u, v, ok := churn.PickFlapEdge(g, rng)
+			x, okX := churn.PickCrashNode(g, 0, rng)
+			cut, okC := churn.PickPartitionCut(g, 0, 5, rng)
+			b, c, okB := churn.PickBridgeEdge(g, rng)
+			y, okY := churn.PickCutVertex(g, 0, rng)
+			out = append(out, u, v, ok, x, okX, cut, okC, b, c, okB, y, okY)
+		}
+		return fmt.Sprint(out...)
+	}
+	graphs := []*graph.Graph{holedGrid(t), graph.Grid(9, 9), graph.Lollipop(8, 6), graph.Grid(4, 5)}
+	want := make([]string, len(graphs))
+	for i, g := range graphs {
+		want[i] = picks(g, int64(i))
+	}
+	var wg sync.WaitGroup
+	for i, g := range graphs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 5 {
+				if got := picks(g, int64(i)); got != want[i] {
+					t.Errorf("graph %d: concurrent picks %s, alone %s", i, got, want[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

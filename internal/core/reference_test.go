@@ -301,14 +301,9 @@ func flapApplyAllocs(t *testing.T, rows, cols int, wrapped bool) float64 {
 // TestApplyDeltaTreeFlapAllocatesNothing gates the in-place reference
 // rebuild: after warm-up, System.ApplyDelta of a tree-edge flap
 // allocates nothing on bare and failover-wrapped DFTNO, on grid:10x10
-// and grid:32x32. Under -race only the bare stack is gated: the
-// wrapper's delta ball comes from InfluenceBall, whose pooled scratch
-// the race detector's sync.Pool drops at random.
+// and grid:32x32.
 func TestApplyDeltaTreeFlapAllocatesNothing(t *testing.T) {
 	for _, wrapped := range []bool{false, true} {
-		if wrapped && raceEnabled {
-			continue
-		}
 		for _, side := range []int{10, 32} {
 			if a := flapApplyAllocs(t, side, side, wrapped); a != 0 {
 				t.Errorf("failover=%v grid:%dx%d: ApplyDelta allocates %v per tree-edge flap, want 0", wrapped, side, side, a)

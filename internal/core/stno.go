@@ -58,10 +58,8 @@ type STNO struct {
 	start  [][]int // per node, per port; meaningful on child ports, 0 elsewhere
 	pi     [][]int
 
-	// subBall lazily caches, per node, the influence ball substrate
-	// moves need (radius 1 + Substrate.ParentLocality); nil entries are
-	// unbuilt. Unused (and unallocated) when the radius is 1.
-	subBall    [][]graph.NodeID
+	// subBallRad is the radius of the influence ball substrate moves
+	// need: 1 + Substrate.ParentLocality.
 	subBallRad int
 
 	// wit is the incremental legitimacy witness (see witness.go).
@@ -108,9 +106,6 @@ func NewSTNO(g *graph.Graph, sub TreeSubstrate, modulus int) (*STNO, error) {
 		s.pi[v] = make([]int, deg)
 	}
 	s.subBallRad = 1 + sub.ParentLocality()
-	if s.subBallRad > 1 {
-		s.subBall = make([][]graph.NodeID, g.N())
-	}
 	s.subWit, _ = sub.(program.Witness)
 	return s, nil
 }
@@ -341,15 +336,13 @@ func (s *STNO) Execute(v graph.NodeID, a program.ActionID) bool {
 // Parent itself may read ParentLocality() hops around q (a DFS tree
 // derives the parent from the neighbours' path variables), so a
 // substrate move at v reaches guards up to 1+ParentLocality() hops
-// out. The balls are precomputed per node on first use.
+// out. That ball is reported as a closed walk, repeats included, which
+// keeps Influence free of scratch in concurrent workers.
 func (s *STNO) Influence(v graph.NodeID, a program.ActionID, buf []graph.NodeID) []graph.NodeID {
-	if a >= ActWeight || s.subBallRad <= 1 {
+	if a >= ActWeight {
 		return program.InfluenceClosedNeighborhood(s.g, v, buf)
 	}
-	if s.subBall[v] == nil {
-		s.subBall[v] = program.InfluenceBall(s.g, v, s.subBallRad, nil)
-	}
-	return append(buf, s.subBall[v]...)
+	return program.InfluenceWalk(s.g, v, s.subBallRad, buf)
 }
 
 // LocalityRadius implements program.LocalityRadius for the sharded
@@ -397,13 +390,11 @@ func (s *STNO) Legitimate() bool {
 // TopologyChanged implements program.TopologyAware for the composed
 // stack: forward to the substrate, grow node-indexed arrays if the id
 // space grew, rebind the port-indexed Start and π arrays of touched
-// nodes, and drop the memoised influence balls of every node whose
-// ball can contain the changed region. The returned ball is the radius
-// 1+ParentLocality() ball around the touched set: STNO guards read
-// their neighbours' substrate-derived Parent, which itself reads
-// ParentLocality() hops, so a topology event is visible that far out —
-// the same widening the Influence declaration applies to substrate
-// moves.
+// nodes. The returned ball is the radius 1+ParentLocality() walk
+// around each touched node: STNO guards read their neighbours'
+// substrate-derived Parent, which itself reads ParentLocality() hops,
+// so a topology event is visible that far out — the same widening the
+// Influence declaration applies to substrate moves.
 func (s *STNO) TopologyChanged(d graph.Delta, buf []graph.NodeID) []graph.NodeID {
 	if ta, ok := s.sub.(program.TopologyAware); ok {
 		buf = ta.TopologyChanged(d, buf)
@@ -414,9 +405,6 @@ func (s *STNO) TopologyChanged(d graph.Delta, buf []graph.NodeID) []graph.NodeID
 			s.weight = append(s.weight, 0)
 			s.start = append(s.start, nil)
 			s.pi = append(s.pi, nil)
-		}
-		if s.subBall != nil {
-			s.subBall = append(s.subBall, make([][]graph.NodeID, n-len(s.subBall))...)
 		}
 		if s.modulus < n {
 			s.modulus = n // see the DFTNO hook: the size bound must cover the grown network
@@ -431,14 +419,8 @@ func (s *STNO) TopologyChanged(d graph.Delta, buf []graph.NodeID) []graph.NodeID
 			s.pi[v] = append(s.pi[v], 0)
 		}
 	}
-	mark := len(buf)
 	for _, v := range d.Touched {
-		buf = program.InfluenceBall(s.g, v, s.subBallRad, buf)
-	}
-	if s.subBall != nil {
-		for _, u := range buf[mark:] {
-			s.subBall[u] = nil
-		}
+		buf = program.InfluenceWalk(s.g, v, s.subBallRad, buf)
 	}
 	return buf
 }

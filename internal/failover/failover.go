@@ -465,11 +465,12 @@ func (p *Protocol) noteFlip(v graph.NodeID, pre bool) {
 // the wrapped stack's guards consult through substrate functions that
 // read a neighbour's derived parent or token position. The radius-2
 // ball covers both: guard holders one hop from any reader of v's
-// verdict. Inner moves delegate to the stack's own declaration (they
-// never write the wrapper's variables).
+// verdict. It is reported as a closed walk, repeats included, which
+// needs no scratch in concurrent workers. Inner moves delegate to the
+// stack's own declaration (they never write the wrapper's variables).
 func (p *Protocol) Influence(v graph.NodeID, a program.ActionID, buf []graph.NodeID) []graph.NodeID {
 	if a >= ActDetect {
-		return program.InfluenceBall(p.g, v, 2, buf)
+		return program.InfluenceWalk(p.g, v, 2, buf)
 	}
 	if inf, ok := p.in.(program.Influencer); ok {
 		return inf.Influence(v, a, buf)
@@ -590,9 +591,9 @@ func (p *Protocol) WitnessLegitimate() bool {
 // invalidating the wrapper's witness (its clauses read the bound and
 // the root's epoch). The arrays grow first because the wrapped stack's
 // hook may query the authority (IsRoot) at the new ids. The returned
-// ball is the radius-2 ball of the touched set, matching the Influence
-// declaration, except on growth: the guards read the bound N, so the
-// ball is then every node.
+// ball is the radius-2 walk of each touched node, matching the
+// Influence declaration, except on growth: the guards read the bound
+// N, so the ball is then every node.
 func (p *Protocol) TopologyChanged(d graph.Delta, buf []graph.NodeID) []graph.NodeID {
 	n := p.g.N()
 	grew := len(p.dist) < n
@@ -626,7 +627,7 @@ func (p *Protocol) TopologyChanged(d graph.Delta, buf []graph.NodeID) []graph.No
 		return buf
 	}
 	for _, v := range d.Touched {
-		buf = program.InfluenceBall(p.g, v, 2, buf)
+		buf = program.InfluenceWalk(p.g, v, 2, buf)
 	}
 	return buf
 }

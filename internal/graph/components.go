@@ -168,24 +168,12 @@ func (g *Graph) compAddEdge(u, v NodeID) bool {
 // the edge is structurally gone.
 func (g *Graph) compRemoveEdge(u, v NodeID) bool {
 	c := g.comp[u]
-	n := g.N()
-	for len(g.stampA) < n {
-		g.stampA = append(g.stampA, 0)
-		g.stampB = append(g.stampB, 0)
-	}
-	g.stampEpoch++
-	if g.stampEpoch == 0 {
-		for i := range g.stampA {
-			g.stampA[i] = 0
-			g.stampB[i] = 0
-		}
-		g.stampEpoch = 1
-	}
-	ep := g.stampEpoch
+	g.seenA.Reset(g.N())
+	g.seenB.Reset(g.N())
 	qa := append(g.queueA[:0], u)
 	qb := append(g.queueB[:0], v)
-	g.stampA[u] = ep
-	g.stampB[v] = ep
+	g.seenA.Add(u)
+	g.seenB.Add(v)
 	ha, hb := 0, 0
 	defer func() { g.queueA, g.queueB = qa[:0], qb[:0] }()
 	for {
@@ -199,11 +187,10 @@ func (g *Graph) compRemoveEdge(u, v NodeID) bool {
 			if w == None {
 				continue
 			}
-			if g.stampB[w] == ep {
+			if g.seenB.Has(w) {
 				return false
 			}
-			if g.stampA[w] != ep {
-				g.stampA[w] = ep
+			if g.seenA.Add(w) {
 				qa = append(qa, w)
 			}
 		}
@@ -217,11 +204,10 @@ func (g *Graph) compRemoveEdge(u, v NodeID) bool {
 			if w == None {
 				continue
 			}
-			if g.stampA[w] == ep {
+			if g.seenA.Has(w) {
 				return false
 			}
-			if g.stampB[w] != ep {
-				g.stampB[w] = ep
+			if g.seenB.Add(w) {
 				qb = append(qb, w)
 			}
 		}
@@ -258,36 +244,22 @@ func (g *Graph) compRemoveNode(v NodeID, exn []NodeID) bool {
 	if len(exn) < 2 {
 		return false
 	}
-	n := g.N()
-	for len(g.stampA) < n {
-		g.stampA = append(g.stampA, 0)
-		g.stampB = append(g.stampB, 0)
-	}
-	g.stampEpoch++
-	if g.stampEpoch == 0 {
-		for i := range g.stampA {
-			g.stampA[i] = 0
-			g.stampB[i] = 0
-		}
-		g.stampEpoch = 1
-	}
-	ep := g.stampEpoch
+	g.seenA.Reset(g.N())
 	// Enumerate the part containing exn[0]; it keeps label c.
 	q := append(g.queueA[:0], exn[0])
-	g.stampA[exn[0]] = ep
+	g.seenA.Add(exn[0])
 	for len(q) > 0 {
 		x := q[len(q)-1]
 		q = q[:len(q)-1]
 		for _, w := range g.adj[x] {
-			if w != None && g.stampA[w] != ep {
-				g.stampA[w] = ep
+			if w != None && g.seenA.Add(w) {
 				q = append(q, w)
 			}
 		}
 	}
 	split := false
 	for _, s := range exn[1:] {
-		if g.stampA[s] == ep || g.comp[s] != c {
+		if g.seenA.Has(s) || g.comp[s] != c {
 			continue // reachable from exn[0], or already relabelled below
 		}
 		// A separated part: relabel it fresh.

@@ -15,7 +15,7 @@ package graph
 // frontier into concurrently executable waves.
 //
 // Cost is one depth-bounded BFS per member, O(Σ |B(m, radius)| edges)
-// total, with O(n) scratch reused across members via epoch stamps.
+// total, with one O(n) Marks set reused across members.
 // Dead members and holes in mutated port spaces are skipped the same
 // way every traversal in this package skips them.
 func ConflictAdjacency(g *Graph, members []NodeID, radius int) [][]int32 {
@@ -32,28 +32,24 @@ func ConflictAdjacency(g *Graph, members []NodeID, radius int) [][]int32 {
 	for i, m := range members {
 		memberIdx[m] = int32(i)
 	}
-	// Depth-bounded BFS per member with epoch-stamped visited marks:
-	// stamp[v] == epoch(i) means v was reached in member i's search.
-	stamp := make([]int32, n)
-	for i := range stamp {
-		stamp[i] = -1
-	}
+	// Depth-bounded BFS per member; seen holds the current member's
+	// search.
+	var seen Marks
 	queue := make([]NodeID, 0, 64)
 	for i, m := range members {
 		if !g.Alive(m) {
 			continue
 		}
-		src := int32(i)
-		stamp[m] = src
+		seen.Reset(n)
+		seen.Add(m)
 		queue = append(queue[:0], m)
 		for hop, lo := 0, 0; hop < radius; hop++ {
 			hi := len(queue)
 			for _, u := range queue[lo:hi] {
 				for _, q := range g.Neighbors(u) {
-					if q == None || stamp[q] == src {
+					if q == None || !seen.Add(q) {
 						continue
 					}
-					stamp[q] = src
 					queue = append(queue, q)
 					if j := memberIdx[q]; j >= 0 {
 						adj[i] = append(adj[i], j)

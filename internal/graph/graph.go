@@ -54,8 +54,7 @@ type Graph struct {
 	compVer  uint64  // bumped whenever labels change beyond the touched set
 
 	// Scratch for the bounded split search (components.go).
-	stampA, stampB []uint32
-	stampEpoch     uint32
+	seenA, seenB   Marks
 	queueA, queueB []NodeID
 }
 

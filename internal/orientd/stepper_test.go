@@ -42,7 +42,7 @@ func (o *overreach) Execute(v graph.NodeID, a program.ActionID) bool {
 }
 
 func (o *overreach) Influence(v graph.NodeID, a program.ActionID, buf []graph.NodeID) []graph.NodeID {
-	return program.InfluenceBall(o.g, v, 3, buf)
+	return program.InfluenceWalk(o.g, v, 3, buf)
 }
 
 // TestStepperErrorIsLoud: once the parallel stepper's Step fails, the

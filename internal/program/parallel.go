@@ -207,6 +207,10 @@ type ParallelSystem struct {
 
 	infBuf   []graph.NodeID // isInterior scratch
 	classBuf []graph.NodeID // reclassify scratch, disjoint from infBuf
+	// seen is the visited set of both balls. Serial phases only; the
+	// nested isInterior may reset it because reclassify reads its own
+	// ball from classBuf.
+	seen graph.Marks
 
 	// startRound asks phase A to mark the round's pending set, each
 	// worker for its own shard.
@@ -246,6 +250,7 @@ type worker struct {
 	dirty  []graph.NodeID
 	infBuf []graph.NodeID
 	ball   []graph.NodeID
+	seen   graph.Marks // membership of ball
 	trace  []Move
 
 	work     int64 // guard evaluations + executed moves since the last collect
@@ -278,6 +283,7 @@ func NewParallelSystem(proto Protocol, cfg ParallelConfig) *ParallelSystem {
 		record:     cfg.Record,
 		waves:      cfg.FrontierWaves,
 		reshard:    cfg.Reshard,
+		bounds:     make([]int, w+1),
 		pool:       make([]*worker, w),
 		brng:       rand.New(rand.NewSource(shardSeed(cfg.Seed, -1))),
 		recentA:    make([]int64, w),
@@ -395,24 +401,23 @@ func (ps *ParallelSystem) EnabledCount() int {
 // Silent reports whether no action is enabled anywhere.
 func (ps *ParallelSystem) Silent() bool { return ps.EnabledCount() == 0 }
 
-// ensureInit builds the shard geometry and bootstraps the guard cache
-// with one full scan.
+// ensureInit builds the shard geometry, reusing its arrays, and
+// bootstraps the guard cache with one full scan.
 func (ps *ParallelSystem) ensureInit() {
 	if ps.inited {
 		return
 	}
 	n := ps.g.N()
-	ps.bounds = make([]int, ps.workers+1)
 	for s := 0; s <= ps.workers; s++ {
 		ps.bounds[s] = s * n / ps.workers
 	}
-	ps.shardOf = make([]int32, n)
+	ps.shardOf = slices.Grow(ps.shardOf[:0], n)[:n]
 	for s := 0; s < ps.workers; s++ {
 		for v := ps.bounds[s]; v < ps.bounds[s+1]; v++ {
 			ps.shardOf[v] = int32(s)
 		}
 	}
-	ps.interior = make([]bool, n)
+	ps.interior = slices.Grow(ps.interior[:0], n)[:n]
 	ps.classifyAll()
 	// Seed restarts each stream exactly as a fresh rand.New would.
 	for s, w := range ps.pool {
@@ -440,7 +445,7 @@ func shardSeed(seed int64, s int) int64 {
 // v's shard.
 func (ps *ParallelSystem) isInterior(v graph.NodeID) bool {
 	lo, hi := ps.bounds[ps.shardOf[v]], ps.bounds[ps.shardOf[v]+1]
-	ps.infBuf = InfluenceBall(ps.g, v, ps.radius, ps.infBuf[:0])
+	ps.infBuf = InfluenceBall(ps.g, v, ps.radius, &ps.seen, ps.infBuf[:0])
 	for _, u := range ps.infBuf {
 		if int(u) < lo || int(u) >= hi {
 			return false
@@ -795,7 +800,7 @@ func (w *worker) fire(u graph.NodeID, a ActionID, own region) {
 		// the radius-R ball and so inside every owned region.
 		own = ownAll
 	} else if own == ownBall {
-		w.ball = InfluenceBall(ps.g, u, ps.radius, w.ball[:0])
+		w.ball = InfluenceBall(ps.g, u, ps.radius, &w.seen, w.ball[:0])
 	}
 	w.infBuf = ps.influence(u, a, w.infBuf[:0])
 	for _, q := range w.infBuf {
@@ -812,7 +817,7 @@ func (w *worker) mark(q, by graph.NodeID, own region) {
 	case ownShard:
 		owned = w.lo <= int(q) && int(q) < w.hi
 	case ownBall:
-		owned = slices.Contains(w.ball, q)
+		owned = w.seen.Has(q)
 	}
 	if !owned {
 		if w.breach == graph.None {
@@ -911,7 +916,7 @@ func (ps *ParallelSystem) ApplyDelta(d graph.Delta) {
 func (ps *ParallelSystem) reclassify(touched []graph.NodeID) {
 	changed := false
 	for _, t := range touched {
-		ps.classBuf = InfluenceBall(ps.g, t, ps.radius, ps.classBuf[:0])
+		ps.classBuf = InfluenceBall(ps.g, t, ps.radius, &ps.seen, ps.classBuf[:0])
 		for _, u := range ps.classBuf {
 			in := ps.isInterior(u)
 			if in != ps.interior[u] {
@@ -927,7 +932,7 @@ func (ps *ParallelSystem) reclassify(touched []graph.NodeID) {
 	}
 	if ps.waves {
 		for _, t := range touched {
-			ps.classBuf = InfluenceBall(ps.g, t, 2*ps.radius, ps.classBuf[:0])
+			ps.classBuf = InfluenceBall(ps.g, t, 2*ps.radius, &ps.seen, ps.classBuf[:0])
 			for _, u := range ps.classBuf {
 				if !ps.interior[u] {
 					ps.rebuildWaves()

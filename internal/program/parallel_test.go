@@ -514,3 +514,31 @@ func TestSystemGrowthAppend(t *testing.T) {
 		t.Fatal("growth campaign diverged from the full-scan oracle")
 	}
 }
+
+// TestParallelInvalidateAllocatesNothing: re-initialising reuses the
+// shard geometry's arrays, so on a warm 2-worker engine with waves off
+// Invalidate plus one Step allocates nothing, as on System. The
+// configuration is legitimate, so the Step is the re-initialisation
+// and its guard rescan, and no phase goroutine starts.
+func TestParallelInvalidateAllocatesNothing(t *testing.T) {
+	g := graph.Grid(32, 32)
+	p, err := protoBuilders()["bfstree"](g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Randomize(rand.New(rand.NewSource(3)))
+	ps := program.NewParallelSystem(p, program.ParallelConfig{Workers: 2, Seed: 1})
+	if res, err := ps.RunUntilLegitimate(int64(1000 * g.N())); err != nil || !res.Converged {
+		t.Fatalf("setup: %v %+v", err, res)
+	}
+	step := func() {
+		ps.Invalidate()
+		if _, err := ps.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	step()
+	if a := testing.AllocsPerRun(20, step); a != 0 {
+		t.Fatalf("Invalidate plus Step allocates %v per call, want 0", a)
+	}
+}

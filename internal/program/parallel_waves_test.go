@@ -364,7 +364,7 @@ func (o *overreach) Execute(v graph.NodeID, a program.ActionID) bool {
 }
 
 func (o *overreach) Influence(v graph.NodeID, a program.ActionID, buf []graph.NodeID) []graph.NodeID {
-	return program.InfluenceBall(o.g, v, 2, buf)
+	return program.InfluenceWalk(o.g, v, 2, buf)
 }
 
 // TestParallelWaveBreachDetection: on a ring with 2-node shards every

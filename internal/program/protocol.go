@@ -12,7 +12,6 @@ package program
 
 import (
 	"math/rand"
-	"sync"
 
 	"netorient/internal/graph"
 )
@@ -53,7 +52,13 @@ type Protocol interface {
 // slice. The set must cover v itself (the runner adds v defensively)
 // and must be sound on every reachable configuration: a node omitted
 // from the set keeps its cached guards, so under-reporting silently
-// corrupts executions. Over-reporting only costs time.
+// corrupts executions. Over-reporting only costs time, and the set may
+// repeat nodes: the engines queue each node once.
+//
+// ParallelSystem calls Influence from concurrent phase-A workers, so it
+// must be read-only like Enabled: it may not write per-instance
+// scratch (a memo, a visited set), and a ball wider than the closed
+// neighbourhood comes from InfluenceWalk, which needs none.
 //
 // Protocols that do not implement Influencer get the default locality
 // of the shared-memory model: a move at v can only change guards in
@@ -128,16 +133,18 @@ func ProtocolRadius(p Protocol) int {
 //     is a transient fault and stabilization is the protocols' job —
 //     but every index must be safe to dereference;
 //  3. refresh derived topology facts (reference namings, cached target
-//     vectors, memoised influence balls), invalidating any incremental
-//     legitimacy witness whose per-node clauses those facts feed when
-//     they changed (the witness lazily re-arms);
+//     vectors), invalidating any incremental legitimacy witness whose
+//     per-node clauses those facts feed when they changed (the witness
+//     lazily re-arms);
 //  4. append to buf and return the delta's influence ball: every node
 //     whose Enabled set or witness contribution may differ after the
 //     delta plus the protocol's own clamps. The same soundness rule as
 //     Influencer applies — omissions silently corrupt executions,
-//     over-reporting only costs time — and the ball must stay local
-//     (O(deg·Δ) around the touched set), because keeping topology
-//     events cheaper than a whole-system Invalidate is the point.
+//     over-reporting and repeated nodes only cost time (the balls of
+//     several touched nodes overlap anyway) — and the ball must stay
+//     local (O(deg·Δ) around the touched set), because keeping
+//     topology events cheaper than a whole-system Invalidate is the
+//     point.
 //
 // Layered protocols forward the call to their substrate first and
 // merge the balls. Protocols without the interface can still run on a
@@ -160,61 +167,52 @@ func InfluenceClosedNeighborhood(g *graph.Graph, v graph.NodeID, buf []graph.Nod
 	return buf
 }
 
-// ballMarks is the reusable visited scratch of InfluenceBall: an
-// epoch-stamped array, so marking is O(1) per node and clearing is one
-// counter increment instead of a wipe. Pooled because InfluenceBall is
-// a package-level function with no receiver to hang state off.
-type ballMarks struct {
-	stamp []uint32
-	epoch uint32
-}
-
-var ballPool = sync.Pool{New: func() interface{} { return new(ballMarks) }}
-
-// InfluenceBall appends the closed ball of the given radius around v
-// (in BFS order) to buf. Radius 1 equals the closed neighbourhood.
-// Membership during the BFS is decided by an O(1) stamp lookup against
-// a pooled scratch array (not a scan of the output slice), so the cost
-// is O(ball edges), linear in the ball — BenchmarkInfluenceBall tracks
-// it at radius 2 on a 64×64 grid.
-func InfluenceBall(g *graph.Graph, v graph.NodeID, radius int, buf []graph.NodeID) []graph.NodeID {
-	if radius <= 1 {
-		return InfluenceClosedNeighborhood(g, v, buf)
-	}
-	m := ballPool.Get().(*ballMarks)
-	if len(m.stamp) < g.N() {
-		m.stamp = make([]uint32, g.N())
-		m.epoch = 0
-	}
-	m.epoch++
-	if m.epoch == 0 { // stamp wrap: stale stamps could collide, wipe once
-		for i := range m.stamp {
-			m.stamp[i] = 0
-		}
-		m.epoch = 1
-	}
-	start := len(buf)
+// InfluenceBall appends the closed ball B(v, radius) to buf in BFS
+// order: v, then every live node within radius hops, each once; radius
+// 1 is the closed neighbourhood. Membership is decided against seen,
+// which the caller owns and InfluenceBall resets, so the cost is linear
+// in the ball's edges (BenchmarkInfluenceBall tracks it at radius 2 on
+// a 64×64 grid) and a warm call allocates nothing. On return seen holds
+// exactly the ball.
+func InfluenceBall(g *graph.Graph, v graph.NodeID, radius int, seen *graph.Marks, buf []graph.NodeID) []graph.NodeID {
+	seen.Reset(g.N())
+	seen.Add(v)
+	lo := len(buf)
 	buf = append(buf, v)
-	m.stamp[v] = m.epoch
-	for hop, lo := 0, start; hop < radius; hop++ {
+	for hop := 0; hop < radius && lo < len(buf); hop++ {
 		hi := len(buf)
 		for _, u := range buf[lo:hi] {
 			for _, q := range g.Neighbors(u) {
-				if q == graph.None {
-					continue
-				}
-				if m.stamp[q] != m.epoch {
-					m.stamp[q] = m.epoch
+				if q != graph.None && seen.Add(q) {
 					buf = append(buf, q)
 				}
 			}
 		}
-		if len(buf) == hi {
-			break
+		lo = hi
+	}
+	return buf
+}
+
+// InfluenceWalk appends a closed walk around v that covers B(v, radius)
+// to buf: v, then the neighbours of every node the previous hop
+// appended, repeats included. Its distinct nodes are InfluenceBall's,
+// first met in the same BFS order. It needs no scratch, so an Influence
+// implementation may call it from concurrent workers; the walk has
+// O(Δ^radius) entries, which suits the small radii protocols declare.
+func InfluenceWalk(g *graph.Graph, v graph.NodeID, radius int, buf []graph.NodeID) []graph.NodeID {
+	lo := len(buf)
+	buf = append(buf, v)
+	for hop := 0; hop < radius; hop++ {
+		hi := len(buf)
+		for _, u := range buf[lo:hi] {
+			for _, q := range g.Neighbors(u) {
+				if q != graph.None {
+					buf = append(buf, q)
+				}
+			}
 		}
 		lo = hi
 	}
-	ballPool.Put(m)
 	return buf
 }
 
