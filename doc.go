@@ -329,6 +329,24 @@
 // connected nodes win orphan components instead of the bare maximum
 // id, with the same count-to-the-bound decay for stale claims.
 //
+// # Snapshots and model checking
+//
+// internal/check verifies closure and convergence by exploring the
+// configurations reachable from a seed set, and it identifies a
+// configuration by its program.Snapshotter bytes. Every stack writes
+// those bytes through one codec (program.SnapshotWriter and
+// SnapshotReader in internal/program/snapshot.go): a fixed field list
+// of varint integers and one-byte booleans, and a composed layer
+// (DFTNO, STNO, the failover wrapper) writes its inner stack's
+// snapshot first as one length-prefixed field. Snapshots are
+// canonical and injective, so equal configurations are equal states
+// and the checker's state counts do not depend on the encoding;
+// Restore rejects truncated input, trailing bytes and layer bytes it
+// cannot restore. The circulator's unbounded round counters are
+// encoded relative to their minimum, which keeps the reachable state
+// space finite. The same bytes rewind fault campaigns and the actor
+// runtime's projection check.
+//
 // cmd/benchtab regenerates every experiment table (the index is
 // internal/experiments.All), and BENCH_scheduler.json holds the
 // committed scheduler baselines CI gates. All implementation lives

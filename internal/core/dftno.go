@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -85,6 +84,8 @@ type DFTNO struct {
 	// conjoined with the substrate's own witness (see witness.go).
 	wit    program.ViolationCounter
 	subWit program.Witness // type-asserted from sub; nil ⇒ fall back to sub.Legitimate
+
+	subCorrupt program.NodeCorruptor // type-asserted from sub; nil ⇒ CorruptNode leaves sub alone
 }
 
 // Compile-time interface compliance.
@@ -154,6 +155,7 @@ func NewDFTNO(g *graph.Graph, sub TokenSubstrate, modulus int) (*DFTNO, error) {
 	}
 
 	d.subWit, _ = sub.(program.Witness)
+	d.subCorrupt, _ = sub.(program.NodeCorruptor)
 	sub.SetObserver(d)
 
 	// Construction-time contract validation (the deleted recording
@@ -620,62 +622,30 @@ func (d *DFTNO) TopologyChanged(dlt graph.Delta, buf []graph.NodeID) []graph.Nod
 // Snapshot implements program.Snapshotter: the substrate snapshot
 // followed by η, Max and π.
 func (d *DFTNO) Snapshot() []byte {
-	sub := d.sub.Snapshot()
-	buf := make([]byte, 0, len(sub)+10+12*d.g.N())
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], uint64(len(sub)))
-	buf = append(buf, tmp[:n]...)
-	buf = append(buf, sub...)
-	put := func(x int) {
-		n := binary.PutVarint(tmp[:], int64(x))
-		buf = append(buf, tmp[:n]...)
-	}
+	w := program.NewSnapshotWriter(16 + 8*d.g.N())
+	w.Layer(d.sub)
 	for v := 0; v < d.g.N(); v++ {
-		put(d.eta[v])
-		put(d.max[v])
+		w.Int(d.eta[v])
+		w.Int(d.max[v])
 		for _, l := range d.pi[v] {
-			put(l)
+			w.Int(l)
 		}
 	}
-	return buf
+	return w.Bytes()
 }
 
 // Restore implements program.Snapshotter.
 func (d *DFTNO) Restore(data []byte) error {
-	subLen, n := binary.Uvarint(data)
-	if n <= 0 || uint64(len(data)-n) < subLen {
-		return errors.New("core: malformed dftno snapshot header")
-	}
-	if err := d.sub.Restore(data[n : n+int(subLen)]); err != nil {
-		return fmt.Errorf("core: restore substrate: %w", err)
-	}
-	rest := data[n+int(subLen):]
-	get := func() (int, error) {
-		x, n := binary.Varint(rest)
-		if n <= 0 {
-			return 0, errors.New("core: truncated dftno snapshot")
-		}
-		rest = rest[n:]
-		return int(x), nil
-	}
+	r := program.NewSnapshotReader(data)
+	r.Layer(d.sub)
 	for v := 0; v < d.g.N(); v++ {
-		var err error
-		if d.eta[v], err = get(); err != nil {
-			return err
-		}
-		if d.max[v], err = get(); err != nil {
-			return err
-		}
+		d.eta[v] = r.Int()
+		d.max[v] = r.Int()
 		for port := range d.pi[v] {
-			if d.pi[v][port], err = get(); err != nil {
-				return err
-			}
+			d.pi[v][port] = r.Int()
 		}
 	}
-	if len(rest) != 0 {
-		return errors.New("core: trailing dftno snapshot bytes")
-	}
-	return nil
+	return r.Err()
 }
 
 // CorruptNode implements program.NodeCorruptor: v's orientation
@@ -685,8 +655,8 @@ func (d *DFTNO) Restore(data []byte) error {
 // within one clean round — which TestDFTNOHealsOutOfDomainValues
 // exercises separately.
 func (d *DFTNO) CorruptNode(v graph.NodeID, rng *rand.Rand) {
-	if c, ok := d.sub.(program.NodeCorruptor); ok {
-		c.CorruptNode(v, rng)
+	if d.subCorrupt != nil {
+		d.subCorrupt.CorruptNode(v, rng)
 	}
 	d.eta[v] = rng.Intn(d.modulus)
 	d.max[v] = rng.Intn(d.modulus)

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"math/rand"
 
@@ -65,6 +63,12 @@ type STNO struct {
 	// wit is the incremental legitimacy witness (see witness.go).
 	wit    program.ViolationCounter
 	subWit program.Witness // type-asserted from sub; nil ⇒ fall back to sub.Stable
+
+	// Optional substrate capabilities, type-asserted once from sub;
+	// nil ⇒ the layer skips the substrate (an empty snapshot layer, no
+	// substrate corruption).
+	subSnap    program.Snapshotter
+	subCorrupt program.NodeCorruptor
 }
 
 // Compile-time interface compliance.
@@ -107,6 +111,8 @@ func NewSTNO(g *graph.Graph, sub TreeSubstrate, modulus int) (*STNO, error) {
 	}
 	s.subBallRad = 1 + sub.ParentLocality()
 	s.subWit, _ = sub.(program.Witness)
+	s.subSnap, _ = sub.(program.Snapshotter)
+	s.subCorrupt, _ = sub.(program.NodeCorruptor)
 	return s, nil
 }
 
@@ -428,85 +434,44 @@ func (s *STNO) TopologyChanged(d graph.Delta, buf []graph.NodeID) []graph.NodeID
 // Snapshot implements program.Snapshotter: the substrate snapshot (if
 // it supports snapshots) followed by Weight, η, Start and π.
 func (s *STNO) Snapshot() []byte {
-	var sub []byte
-	if sn, ok := s.sub.(program.Snapshotter); ok {
-		sub = sn.Snapshot()
-	}
-	buf := make([]byte, 0, len(sub)+16*s.g.N())
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], uint64(len(sub)))
-	buf = append(buf, tmp[:n]...)
-	buf = append(buf, sub...)
-	put := func(x int) {
-		n := binary.PutVarint(tmp[:], int64(x))
-		buf = append(buf, tmp[:n]...)
-	}
+	w := program.NewSnapshotWriter(16 + 8*s.g.N())
+	w.Layer(s.subSnap)
 	for v := 0; v < s.g.N(); v++ {
-		put(s.weight[v])
-		put(s.eta[v])
+		w.Int(s.weight[v])
+		w.Int(s.eta[v])
 		for _, x := range s.start[v] {
-			put(x)
+			w.Int(x)
 		}
 		for _, x := range s.pi[v] {
-			put(x)
+			w.Int(x)
 		}
 	}
-	return buf
+	return w.Bytes()
 }
 
 // Restore implements program.Snapshotter.
 func (s *STNO) Restore(data []byte) error {
-	subLen, n := binary.Uvarint(data)
-	if n <= 0 || uint64(len(data)-n) < subLen {
-		return errors.New("core: malformed stno snapshot header")
-	}
-	if sn, ok := s.sub.(program.Snapshotter); ok {
-		if err := sn.Restore(data[n : n+int(subLen)]); err != nil {
-			return fmt.Errorf("core: restore substrate: %w", err)
-		}
-	} else if subLen != 0 {
-		return errors.New("core: snapshot has substrate bytes but substrate cannot restore")
-	}
-	rest := data[n+int(subLen):]
-	get := func() (int, error) {
-		x, n := binary.Varint(rest)
-		if n <= 0 {
-			return 0, errors.New("core: truncated stno snapshot")
-		}
-		rest = rest[n:]
-		return int(x), nil
-	}
+	r := program.NewSnapshotReader(data)
+	r.Layer(s.subSnap)
 	for v := 0; v < s.g.N(); v++ {
-		var err error
-		if s.weight[v], err = get(); err != nil {
-			return err
-		}
-		if s.eta[v], err = get(); err != nil {
-			return err
-		}
+		s.weight[v] = r.Int()
+		s.eta[v] = r.Int()
 		for port := range s.start[v] {
-			if s.start[v][port], err = get(); err != nil {
-				return err
-			}
+			s.start[v][port] = r.Int()
 		}
 		for port := range s.pi[v] {
-			if s.pi[v][port], err = get(); err != nil {
-				return err
-			}
+			s.pi[v][port] = r.Int()
 		}
 	}
-	if len(rest) != 0 {
-		return errors.New("core: trailing stno snapshot bytes")
-	}
-	return nil
+	return r.Err()
 }
 
 // CorruptNode implements program.NodeCorruptor: v's variables take
 // arbitrary values of their domains (Weight ∈ 1..N, η ∈ 0..N−1,
 // Start and π entries ∈ 0..N−1, per Algorithm 4.1.2's declarations).
 func (s *STNO) CorruptNode(v graph.NodeID, rng *rand.Rand) {
-	if c, ok := s.sub.(program.NodeCorruptor); ok {
-		c.CorruptNode(v, rng)
+	if s.subCorrupt != nil {
+		s.subCorrupt.CorruptNode(v, rng)
 	}
 	s.weight[v] = 1 + rng.Intn(s.modulus)
 	s.eta[v] = rng.Intn(s.modulus)

@@ -13,26 +13,6 @@ import (
 	"netorient/internal/trace"
 )
 
-// churnCountingStack wraps the DFTNO stack counting guard evaluations
-// and O(n) Legitimate() scans. Embedding keeps every optional contract
-// the scheduler type-asserts (Influencer, Witness, TopologyAware), so
-// the wrapped stack runs on the incremental witness path unchanged.
-type churnCountingStack struct {
-	*core.DFTNO
-	evals int64
-	scans int64
-}
-
-func (p *churnCountingStack) Enabled(v graph.NodeID, buf []program.ActionID) []program.ActionID {
-	p.evals++
-	return p.DFTNO.Enabled(v, buf)
-}
-
-func (p *churnCountingStack) Legitimate() bool {
-	p.scans++
-	return p.DFTNO.Legitimate()
-}
-
 // T13Churn measures the dynamic-topology substrate end to end.
 //
 // Flap rows — the localized-invalidation claim: on an already
@@ -109,7 +89,7 @@ func T13Churn(cfg Config) (*trace.Table, error) {
 
 // t13Flap runs the single-edge-flap comparison on g.
 func t13Flap(cfg Config, tb *trace.Table, name string, g *graph.Graph) error {
-	build := func() (*churnCountingStack, *program.System, error) {
+	build := func() (*guardScanCountingDFTNO, *program.System, error) {
 		sub, err := token.NewCirculator(g, 0)
 		if err != nil {
 			return nil, nil, err
@@ -118,7 +98,7 @@ func t13Flap(cfg Config, tb *trace.Table, name string, g *graph.Graph) error {
 		if err != nil {
 			return nil, nil, err
 		}
-		w := &churnCountingStack{DFTNO: d}
+		w := &guardScanCountingDFTNO{DFTNO: d}
 		sys := program.NewSystem(w, daemon.NewCentral(cfg.Seed))
 		// Constructed legitimate; this arms the witness, then a few
 		// hundred steps put the circulation mid-round.

@@ -67,7 +67,7 @@ func T14PartitionHeal(cfg Config) (*trace.Table, error) {
 // blunt path (heals through whole-system Invalidate) for the
 // comparison column.
 func t14Row(cfg Config, tb *trace.Table, name string, mk func() *graph.Graph, cuts [][2]graph.NodeID) error {
-	build := func(g *graph.Graph) (*churnCountingStack, *program.System, error) {
+	build := func(g *graph.Graph) (*guardScanCountingDFTNO, *program.System, error) {
 		sub, err := token.NewCirculator(g, 0)
 		if err != nil {
 			return nil, nil, err
@@ -76,7 +76,7 @@ func t14Row(cfg Config, tb *trace.Table, name string, mk func() *graph.Graph, cu
 		if err != nil {
 			return nil, nil, err
 		}
-		w := &churnCountingStack{DFTNO: d}
+		w := &guardScanCountingDFTNO{DFTNO: d}
 		sys := program.NewSystem(w, daemon.NewCentral(cfg.Seed))
 		// Constructed legitimate; arm the witness, then circulate a
 		// while so the guard cache is live and the token mid-round.

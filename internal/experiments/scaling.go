@@ -236,16 +236,24 @@ func T11SchedulerScaling(cfg Config) (*trace.Table, error) {
 	return tb, nil
 }
 
-// scanCountingDFTNO wraps a DFTNO stack and counts Legitimate() calls
-// — each one is an O(n) scan. The promoted methods keep the wrapper a
-// full Protocol+Influencer+Witness, so it runs under either legitimacy
-// path; the witness path must leave the counter at zero.
-type scanCountingDFTNO struct {
+// guardScanCountingDFTNO wraps a DFTNO stack counting guard
+// evaluations (Enabled calls) and O(n) Legitimate() scans. Embedding
+// keeps every optional contract the scheduler type-asserts
+// (Influencer, Witness, TopologyAware), so the wrapped stack runs on
+// either legitimacy path unchanged; the witness path must leave the
+// scan counter at zero.
+type guardScanCountingDFTNO struct {
 	*core.DFTNO
+	evals int64
 	scans int64
 }
 
-func (d *scanCountingDFTNO) Legitimate() bool {
+func (d *guardScanCountingDFTNO) Enabled(v graph.NodeID, buf []program.ActionID) []program.ActionID {
+	d.evals++
+	return d.DFTNO.Enabled(v, buf)
+}
+
+func (d *guardScanCountingDFTNO) Legitimate() bool {
 	d.scans++
 	return d.DFTNO.Legitimate()
 }
@@ -289,12 +297,12 @@ func T12WitnessLegitimacy(cfg Config) (*trace.Table, error) {
 		"phase", "graph", "n", "steps", "wit scans", "scan scans", "wit ns/step", "scan ns/step", "speedup")
 	for _, pt := range points {
 		g := pt.mk()
-		build := func() (*scanCountingDFTNO, error) {
+		build := func() (*guardScanCountingDFTNO, error) {
 			d, err := newDFTNO(g, 0)
 			if err != nil {
 				return nil, err
 			}
-			return &scanCountingDFTNO{DFTNO: d}, nil
+			return &guardScanCountingDFTNO{DFTNO: d}, nil
 		}
 		// Phase 1: stabilization. The witness side uses the runner's
 		// witness path (RunUntilLegitimate arms it); the scan side

@@ -42,9 +42,6 @@
 package failover
 
 import (
-	"encoding/binary"
-	"errors"
-	"fmt"
 	"math/rand"
 
 	"netorient/internal/graph"
@@ -112,6 +109,12 @@ type Protocol struct {
 
 	wit   program.ViolationCounter
 	inWit program.Witness // type-asserted from in; nil ⇒ fall back to in.Legitimate
+
+	// Optional stack capabilities, type-asserted once from in; nil ⇒
+	// the wrapper skips the stack (an empty snapshot layer, no stack
+	// corruption).
+	inSnap    program.Snapshotter
+	inCorrupt program.NodeCorruptor
 }
 
 // Compile-time interface compliance.
@@ -157,6 +160,8 @@ func New(g *graph.Graph, inner Inner, root graph.NodeID) *Protocol {
 	}
 	p.stabilizeOwn()
 	p.inWit, _ = inner.(program.Witness)
+	p.inSnap, _ = inner.(program.Snapshotter)
+	p.inCorrupt, _ = inner.(program.NodeCorruptor)
 	inner.BindRootAuthority(p)
 	return p
 }
@@ -638,82 +643,34 @@ func (p *Protocol) TopologyChanged(d graph.Delta, buf []graph.NodeID) []graph.No
 // keeping lockstep snapshot comparisons meaningful across systems
 // with different rebuild histories.
 func (p *Protocol) Snapshot() []byte {
-	var in []byte
-	if sn, ok := p.in.(program.Snapshotter); ok {
-		in = sn.Snapshot()
-	}
-	buf := make([]byte, 0, len(in)+10+16*p.g.N())
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], uint64(len(in)))
-	buf = append(buf, tmp[:n]...)
-	buf = append(buf, in...)
+	w := program.NewSnapshotWriter(16 + 8*p.g.N())
+	w.Layer(p.inSnap)
 	for v := 0; v < p.g.N(); v++ {
-		n = binary.PutVarint(tmp[:], int64(p.dist[v]))
-		buf = append(buf, tmp[:n]...)
-		n = binary.PutUvarint(tmp[:], p.epoch[v])
-		buf = append(buf, tmp[:n]...)
-		n = binary.PutVarint(tmp[:], int64(p.lid[v]))
-		buf = append(buf, tmp[:n]...)
-		n = binary.PutVarint(tmp[:], int64(p.ldist[v]))
-		buf = append(buf, tmp[:n]...)
-		n = binary.PutVarint(tmp[:], p.lprio[v])
-		buf = append(buf, tmp[:n]...)
-		n = binary.PutVarint(tmp[:], int64(p.ldeg[v]))
-		buf = append(buf, tmp[:n]...)
+		w.Int(p.dist[v])
+		w.Uint(p.epoch[v])
+		w.Int(p.lid[v])
+		w.Int(p.ldist[v])
+		w.Int(int(p.lprio[v]))
+		w.Int(p.ldeg[v])
 	}
-	return buf
+	return w.Bytes()
 }
 
 // Restore implements program.Snapshotter. Restored state may hold any
 // verdict pattern, so the authority version bumps unconditionally.
 func (p *Protocol) Restore(data []byte) error {
-	inLen, n := binary.Uvarint(data)
-	if n <= 0 || uint64(len(data)-n) < inLen {
-		return errors.New("failover: malformed snapshot header")
-	}
-	if sn, ok := p.in.(program.Snapshotter); ok {
-		if err := sn.Restore(data[n : n+int(inLen)]); err != nil {
-			return fmt.Errorf("failover: restore inner: %w", err)
-		}
-	} else if inLen != 0 {
-		return errors.New("failover: snapshot has inner bytes but inner cannot restore")
-	}
-	rest := data[n+int(inLen):]
-	getInt := func() (int, error) {
-		x, n := binary.Varint(rest)
-		if n <= 0 {
-			return 0, errors.New("failover: truncated snapshot")
-		}
-		rest = rest[n:]
-		return int(x), nil
-	}
+	r := program.NewSnapshotReader(data)
+	r.Layer(p.inSnap)
 	for v := 0; v < p.g.N(); v++ {
-		var err error
-		if p.dist[v], err = getInt(); err != nil {
-			return err
-		}
-		e, m := binary.Uvarint(rest)
-		if m <= 0 {
-			return errors.New("failover: truncated snapshot")
-		}
-		p.epoch[v], rest = e, rest[m:]
-		if p.lid[v], err = getInt(); err != nil {
-			return err
-		}
-		if p.ldist[v], err = getInt(); err != nil {
-			return err
-		}
-		lp, m := binary.Varint(rest)
-		if m <= 0 {
-			return errors.New("failover: truncated snapshot")
-		}
-		p.lprio[v], rest = lp, rest[m:]
-		if p.ldeg[v], err = getInt(); err != nil {
-			return err
-		}
+		p.dist[v] = r.Int()
+		p.epoch[v] = r.Uint()
+		p.lid[v] = r.Int()
+		p.ldist[v] = r.Int()
+		p.lprio[v] = int64(r.Int())
+		p.ldeg[v] = r.Int()
 	}
-	if len(rest) != 0 {
-		return errors.New("failover: trailing snapshot bytes")
+	if err := r.Err(); err != nil {
+		return err
 	}
 	p.rootsVer++
 	p.wit.Invalidate()
@@ -724,8 +681,8 @@ func (p *Protocol) Restore(data []byte) error {
 // take arbitrary values of their domains (dist, ldist ∈ 0..N; lid,
 // epoch over the id/epoch spaces) on top of the stack's corruption.
 func (p *Protocol) CorruptNode(v graph.NodeID, rng *rand.Rand) {
-	if c, ok := p.in.(program.NodeCorruptor); ok {
-		c.CorruptNode(v, rng)
+	if p.inCorrupt != nil {
+		p.inCorrupt.CorruptNode(v, rng)
 	}
 	pre := p.IsRoot(v)
 	p.dist[v] = rng.Intn(p.cap() + 1)

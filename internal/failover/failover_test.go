@@ -14,40 +14,49 @@ import (
 	"netorient/internal/token"
 )
 
-// stacks builds every protocol stack wrapped in the failover layer,
-// anchored at root 0.
-func stacks() map[string]func(g *graph.Graph) (*failover.Protocol, error) {
-	wrap := func(in failover.Inner, err error) (*failover.Protocol, error) {
-		if err != nil {
-			return nil, err
-		}
-		return failover.New(in.Graph(), in, 0), nil
-	}
-	return map[string]func(g *graph.Graph) (*failover.Protocol, error){
-		"token": func(g *graph.Graph) (*failover.Protocol, error) {
-			return wrap(token.NewCirculator(g, 0))
+// inners builds every protocol stack bare, rooted at node 0.
+func inners() map[string]func(g *graph.Graph) (failover.Inner, error) {
+	return map[string]func(g *graph.Graph) (failover.Inner, error){
+		"token": func(g *graph.Graph) (failover.Inner, error) {
+			return token.NewCirculator(g, 0)
 		},
-		"bfs": func(g *graph.Graph) (*failover.Protocol, error) {
-			return wrap(spantree.NewBFSTree(g, 0))
+		"bfs": func(g *graph.Graph) (failover.Inner, error) {
+			return spantree.NewBFSTree(g, 0)
 		},
-		"dfs": func(g *graph.Graph) (*failover.Protocol, error) {
-			return wrap(spantree.NewDFSTree(g, 0))
+		"dfs": func(g *graph.Graph) (failover.Inner, error) {
+			return spantree.NewDFSTree(g, 0)
 		},
-		"dftno": func(g *graph.Graph) (*failover.Protocol, error) {
+		"dftno": func(g *graph.Graph) (failover.Inner, error) {
 			sub, err := token.NewCirculator(g, 0)
 			if err != nil {
 				return nil, err
 			}
-			return wrap(core.NewDFTNO(g, sub, 0))
+			return core.NewDFTNO(g, sub, 0)
 		},
-		"stno": func(g *graph.Graph) (*failover.Protocol, error) {
+		"stno": func(g *graph.Graph) (failover.Inner, error) {
 			sub, err := spantree.NewDFSTree(g, 0)
 			if err != nil {
 				return nil, err
 			}
-			return wrap(core.NewSTNO(g, sub, 0))
+			return core.NewSTNO(g, sub, 0)
 		},
 	}
+}
+
+// stacks builds every protocol stack of inners wrapped in the failover
+// layer, anchored at root 0.
+func stacks() map[string]func(g *graph.Graph) (*failover.Protocol, error) {
+	out := map[string]func(g *graph.Graph) (*failover.Protocol, error){}
+	for name, build := range inners() {
+		out[name] = func(g *graph.Graph) (*failover.Protocol, error) {
+			in, err := build(g)
+			if err != nil {
+				return nil, err
+			}
+			return failover.New(g, in, 0), nil
+		}
+	}
+	return out
 }
 
 // path returns the path graph 0–1–…–(n−1).

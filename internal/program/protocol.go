@@ -261,9 +261,17 @@ type Rootable interface {
 }
 
 // Snapshotter is implemented by protocols whose configuration can be
-// captured and restored. Snapshots must be canonical: two equal
-// configurations yield identical bytes. The model checker and the
-// fault injector both rely on this.
+// captured and restored. Snapshot bytes must be canonical and
+// injective: two configurations yield identical bytes exactly when
+// they are equal, which is how the model checker tells states apart
+// and how the fault injector and the replay checks rewind. Restore
+// rejects truncated input, trailing bytes, and layer bytes it cannot
+// restore (an inner layer's own error, or layer bytes with no inner
+// stack to take them), and clamps or rejects values outside the
+// variables' domains; after a successful Restore, Snapshot followed by
+// Restore is the identity. Implementations write and read their
+// fields through SnapshotWriter and SnapshotReader, which enforce the
+// framing half of this contract.
 type Snapshotter interface {
 	Snapshot() []byte
 	Restore(data []byte) error

@@ -1,7 +1,6 @@
 package spantree
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 
@@ -295,12 +294,7 @@ func (t *BFSTree) TopologyChanged(d graph.Delta, buf []graph.NodeID) []graph.Nod
 		t.wit.Invalidate()
 	}
 	for _, v := range d.Touched {
-		if t.par[v] != graph.None && !t.g.HasEdge(v, t.par[v]) {
-			t.par[v] = graph.None
-		}
-		if t.dist[v] > t.g.N() {
-			t.dist[v] = t.g.N()
-		}
+		t.clamp(v)
 	}
 	if t.auth != nil {
 		t.authVer = t.auth.RootsVersion()
@@ -312,41 +306,35 @@ func (t *BFSTree) TopologyChanged(d graph.Delta, buf []graph.NodeID) []graph.Nod
 	return buf
 }
 
+// clamp confines v's distance to 0..N and drops a parent that is no
+// longer a neighbour. Restore applies it to decoded values and
+// TopologyChanged to the touched nodes.
+func (t *BFSTree) clamp(v graph.NodeID) {
+	t.dist[v] = min(max(t.dist[v], 0), t.g.N())
+	if t.par[v] != graph.None && !t.g.HasEdge(v, t.par[v]) {
+		t.par[v] = graph.None
+	}
+}
+
 // Snapshot implements program.Snapshotter.
 func (t *BFSTree) Snapshot() []byte {
-	buf := make([]byte, 0, t.g.N()*8)
-	var tmp [4]byte
+	w := program.NewSnapshotWriter(4 * t.g.N())
 	for v := 0; v < t.g.N(); v++ {
-		binary.LittleEndian.PutUint32(tmp[:], uint32(int32(t.dist[v])))
-		buf = append(buf, tmp[:]...)
-		binary.LittleEndian.PutUint32(tmp[:], uint32(int32(t.par[v])))
-		buf = append(buf, tmp[:]...)
+		w.Int(t.dist[v])
+		w.Int(int(t.par[v]))
 	}
-	return buf
+	return w.Bytes()
 }
 
 // Restore implements program.Snapshotter.
 func (t *BFSTree) Restore(data []byte) error {
-	if len(data) != t.g.N()*8 {
-		return fmt.Errorf("spantree: snapshot length %d, want %d", len(data), t.g.N()*8)
-	}
-	off := 0
+	r := program.NewSnapshotReader(data)
 	for v := 0; v < t.g.N(); v++ {
-		t.dist[v] = int(int32(binary.LittleEndian.Uint32(data[off:])))
-		off += 4
-		t.par[v] = graph.NodeID(int32(binary.LittleEndian.Uint32(data[off:])))
-		off += 4
-		if t.dist[v] < 0 {
-			t.dist[v] = 0
-		}
-		if t.dist[v] > t.g.N() {
-			t.dist[v] = t.g.N()
-		}
-		if t.par[v] != graph.None && !t.g.HasEdge(graph.NodeID(v), t.par[v]) {
-			t.par[v] = graph.None
-		}
+		t.dist[v] = r.Int()
+		t.par[v] = graph.NodeID(r.Int())
+		t.clamp(graph.NodeID(v))
 	}
-	return nil
+	return r.Err()
 }
 
 // CorruptNode implements program.NodeCorruptor.

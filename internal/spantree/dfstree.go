@@ -1,7 +1,6 @@
 package spantree
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 
@@ -353,63 +352,42 @@ func (t *DFSTree) TopologyChanged(d graph.Delta, buf []graph.NodeID) []graph.Nod
 	return buf
 }
 
-// Snapshot implements program.Snapshotter.
+// Snapshot implements program.Snapshotter: per node, the path length
+// and its ports, or -1 for ⊥ (distinct from the empty path).
 func (t *DFSTree) Snapshot() []byte {
-	var buf []byte
-	var tmp [4]byte
+	w := program.NewSnapshotWriter(4 * t.g.N())
 	for v := 0; v < t.g.N(); v++ {
 		if t.path[v] == nil {
-			binary.LittleEndian.PutUint32(tmp[:], uint32(0xffffffff))
-			buf = append(buf, tmp[:]...)
+			w.Int(-1)
 			continue
 		}
-		binary.LittleEndian.PutUint32(tmp[:], uint32(len(t.path[v])))
-		buf = append(buf, tmp[:]...)
+		w.Int(len(t.path[v]))
 		for _, p := range t.path[v] {
-			binary.LittleEndian.PutUint32(tmp[:], uint32(int32(p)))
-			buf = append(buf, tmp[:]...)
+			w.Int(p)
 		}
 	}
-	return buf
+	return w.Bytes()
 }
 
 // Restore implements program.Snapshotter.
 func (t *DFSTree) Restore(data []byte) error {
-	off := 0
-	read := func() (uint32, error) {
-		if off+4 > len(data) {
-			return 0, fmt.Errorf("spantree: truncated snapshot")
-		}
-		x := binary.LittleEndian.Uint32(data[off:])
-		off += 4
-		return x, nil
-	}
+	r := program.NewSnapshotReader(data)
 	for v := 0; v < t.g.N(); v++ {
-		l, err := read()
-		if err != nil {
-			return err
-		}
-		if l == 0xffffffff {
+		l := r.Int()
+		if l == -1 {
 			t.path[v] = nil
 			continue
 		}
-		if int(l) > t.g.N() {
-			return fmt.Errorf("spantree: path length %d too large", l)
+		if l < 0 || l > t.g.N() {
+			return fmt.Errorf("spantree: path length %d out of range", l)
 		}
 		p := make([]int, l)
 		for i := range p {
-			x, err := read()
-			if err != nil {
-				return err
-			}
-			p[i] = int(int32(x))
+			p[i] = r.Int()
 		}
 		t.path[v] = p
 	}
-	if off != len(data) {
-		return fmt.Errorf("spantree: trailing snapshot bytes")
-	}
-	return nil
+	return r.Err()
 }
 
 // CorruptNode implements program.NodeCorruptor: v takes a random

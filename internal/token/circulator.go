@@ -1,7 +1,6 @@
 package token
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 
@@ -416,20 +415,27 @@ func (c *Circulator) TopologyChanged(d graph.Delta, buf []graph.NodeID) []graph.
 		}
 	}
 	for _, v := range d.Touched {
-		if c.ptr[v] >= c.g.Ports(v) || (c.ptr[v] >= 0 && c.g.Neighbor(v, c.ptr[v]) == graph.None) {
-			c.ptr[v] = -1
-		}
-		if c.par[v] != graph.None && !c.g.HasEdge(v, c.par[v]) {
-			c.par[v] = graph.None
-		}
-		if c.lev[v] > c.g.N() {
-			c.lev[v] = c.g.N()
-		}
+		c.clamp(v)
 	}
 	for _, v := range d.Touched {
 		buf = program.InfluenceClosedNeighborhood(c.g, v, buf)
 	}
 	return buf
+}
+
+// clamp pulls v's pointer, parent and level back into their domains
+// over the current adjacency: a pointer to a missing port becomes -1,
+// a parent that is no longer a neighbour becomes None, and the level
+// is confined to 0..N. Restore applies it to decoded values and
+// TopologyChanged to the touched nodes.
+func (c *Circulator) clamp(v graph.NodeID) {
+	if c.ptr[v] < -1 || c.ptr[v] >= c.g.Ports(v) || (c.ptr[v] >= 0 && c.g.Neighbor(v, c.ptr[v]) == graph.None) {
+		c.ptr[v] = -1
+	}
+	if c.par[v] != graph.None && !c.g.HasEdge(v, c.par[v]) {
+		c.par[v] = graph.None
+	}
+	c.lev[v] = min(max(c.lev[v], 0), c.g.N())
 }
 
 // Finished implements Substrate: done_v.
@@ -733,59 +739,29 @@ func (c *Circulator) Snapshot() []byte {
 			min = s
 		}
 	}
-	buf := make([]byte, 0, n*20)
-	var tmp [8]byte
+	w := program.NewSnapshotWriter(6 * n)
 	for v := 0; v < n; v++ {
-		binary.LittleEndian.PutUint64(tmp[:], c.seq[v]-min)
-		buf = append(buf, tmp[:]...)
-		binary.LittleEndian.PutUint32(tmp[:4], uint32(int32(c.ptr[v])))
-		buf = append(buf, tmp[:4]...)
-		binary.LittleEndian.PutUint32(tmp[:4], uint32(int32(c.par[v])))
-		buf = append(buf, tmp[:4]...)
-		binary.LittleEndian.PutUint32(tmp[:4], uint32(int32(c.lev[v])))
-		buf = append(buf, tmp[:4]...)
-		if c.done[v] {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
+		w.Uint(c.seq[v] - min)
+		w.Int(c.ptr[v])
+		w.Int(int(c.par[v]))
+		w.Int(c.lev[v])
+		w.Bool(c.done[v])
 	}
-	return buf
+	return w.Bytes()
 }
 
 // Restore implements program.Snapshotter.
 func (c *Circulator) Restore(data []byte) error {
-	n := c.g.N()
-	if len(data) != n*21 {
-		return fmt.Errorf("token: snapshot length %d, want %d", len(data), n*21)
+	r := program.NewSnapshotReader(data)
+	for v := 0; v < c.g.N(); v++ {
+		c.seq[v] = r.Uint()
+		c.ptr[v] = r.Int()
+		c.par[v] = graph.NodeID(r.Int())
+		c.lev[v] = r.Int()
+		c.done[v] = r.Bool()
+		c.clamp(graph.NodeID(v))
 	}
-	off := 0
-	for v := 0; v < n; v++ {
-		c.seq[v] = binary.LittleEndian.Uint64(data[off:])
-		off += 8
-		c.ptr[v] = int(int32(binary.LittleEndian.Uint32(data[off:])))
-		off += 4
-		c.par[v] = graph.NodeID(int32(binary.LittleEndian.Uint32(data[off:])))
-		off += 4
-		c.lev[v] = int(int32(binary.LittleEndian.Uint32(data[off:])))
-		off += 4
-		c.done[v] = data[off] == 1
-		off++
-		if c.ptr[v] < -1 || c.ptr[v] >= c.g.Ports(graph.NodeID(v)) ||
-			(c.ptr[v] >= 0 && c.g.Neighbor(graph.NodeID(v), c.ptr[v]) == graph.None) {
-			c.ptr[v] = -1
-		}
-		if c.lev[v] < 0 {
-			c.lev[v] = 0
-		}
-		if c.lev[v] > n {
-			c.lev[v] = n
-		}
-		if c.par[v] != graph.None && !c.g.HasEdge(graph.NodeID(v), c.par[v]) {
-			c.par[v] = graph.None
-		}
-	}
-	return nil
+	return r.Err()
 }
 
 // CorruptNode implements program.NodeCorruptor: v's variables take

@@ -1,7 +1,6 @@
 package token
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 
@@ -247,17 +246,18 @@ func (o *Oracle) Legitimate() bool { return true }
 
 // Snapshot implements program.Snapshotter.
 func (o *Oracle) Snapshot() []byte {
-	var buf [4]byte
-	binary.LittleEndian.PutUint32(buf[:], uint32(o.pos))
-	return buf[:]
+	var w program.SnapshotWriter
+	w.Int(o.pos)
+	return w.Bytes()
 }
 
 // Restore implements program.Snapshotter.
 func (o *Oracle) Restore(data []byte) error {
-	if len(data) != 4 {
-		return fmt.Errorf("token: oracle snapshot length %d, want 4", len(data))
+	r := program.NewSnapshotReader(data)
+	pos := r.Int()
+	if err := r.Err(); err != nil {
+		return err
 	}
-	pos := int(binary.LittleEndian.Uint32(data))
 	if pos < 0 || pos >= len(o.events) {
 		return fmt.Errorf("token: oracle position %d out of range [0,%d)", pos, len(o.events))
 	}

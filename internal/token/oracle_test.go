@@ -100,7 +100,4 @@ func TestOracleSnapshotRoundTrip(t *testing.T) {
 			t.Fatal("oracle snapshot round-trip mismatch")
 		}
 	}
-	if err := o.Restore([]byte{1, 2, 3}); err == nil {
-		t.Error("expected error for malformed snapshot")
-	}
 }
