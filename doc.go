@@ -247,16 +247,22 @@
 //     invariant at every settle point).
 //   - Abdicate: a heal reconnects the orphan component, distances
 //     deflate below the bound, Orphaned() clears, IsRoot flips back
-//     to the fixed root alone (RootsVersion bumps; the inner stacks'
-//     ensure* hooks re-derive their reference state), and the acting
+//     to the fixed root alone (RootsVersion bumps; the inner stacks
+//     re-derive their reference state), and the acting
 //     root's state washes out — lockstep differential tests drive
 //     merges of two acting roots and heals landing mid-election.
 //
-// Acting-root staleness contract: inner stacks never cache
-// IsRoot-derived facts across RootsVersion bumps; every Legitimate()
-// and WitnessLegitimate() entry point re-checks the bound authority's
-// RootsVersion first, so a verdict flip invalidates reference naming
-// before any predicate reads it.
+// Every stack holds its root set in one program.Roots: the fixed root
+// is the degenerate authority whose only root is itself while it is
+// alive, so each root-derived computation (the circulator's predicate
+// and witness, the trees' reference vectors, DFTNO's reference naming)
+// exists once, in its per-root form, with or without a bound
+// authority. Acting-root staleness contract: inner stacks never cache
+// IsRoot-derived facts across a move of the root set's key (the
+// authority's RootsVersion, or the fixed root's graph.RootEpoch);
+// every Legitimate() or WitnessLegitimate() that reads a cached one
+// checks Roots.Moved first, so a verdict flip invalidates reference
+// naming before any predicate reads it.
 //
 // The soak engine (churn.Runner.Soak; stabsim -soak) proves the
 // lifecycle under long-lived schedules: overlapping partition cuts,

@@ -42,8 +42,8 @@ type DFTNO struct {
 	g       *graph.Graph
 	sub     TokenSubstrate
 	modulus int
-	auth    program.RootAuthority // nil ⇒ the substrate's fixed root anchors the reference
-	authVer uint64                // RootsVersion the reference naming was derived at
+	roots   program.Roots  // where the reference naming is anchored, and its staleness key
+	rootBuf []graph.NodeID // rebuildReference's reused list of the live roots
 
 	eta []int
 	max []int
@@ -86,6 +86,7 @@ type DFTNO struct {
 	subWit program.Witness // type-asserted from sub; nil ⇒ fall back to sub.Legitimate
 
 	subCorrupt program.NodeCorruptor // type-asserted from sub; nil ⇒ CorruptNode leaves sub alone
+	subTopo    program.TopologyAware // type-asserted from sub; nil ⇒ deltas leave sub alone
 }
 
 // Compile-time interface compliance.
@@ -126,6 +127,7 @@ func NewDFTNO(g *graph.Graph, sub TokenSubstrate, modulus int) (*DFTNO, error) {
 		g:       g,
 		sub:     sub,
 		modulus: modulus,
+		roots:   program.NewRoots(g, sub.Root()),
 		eta:     make([]int, g.N()),
 		max:     make([]int, g.N()),
 		pi:      make([][]int, g.N()),
@@ -156,6 +158,7 @@ func NewDFTNO(g *graph.Graph, sub TokenSubstrate, modulus int) (*DFTNO, error) {
 
 	d.subWit, _ = sub.(program.Witness)
 	d.subCorrupt, _ = sub.(program.NodeCorruptor)
+	d.subTopo, _ = sub.(program.TopologyAware)
 	sub.SetObserver(d)
 
 	// Construction-time contract validation (the deleted recording
@@ -190,14 +193,14 @@ const unvisited graph.NodeID = graph.None - 1
 // rebuildReference recomputes the reference naming (refNames, maxSub,
 // refParent) from the current graph and reports whether the naming
 // (refNames or maxSub) changed. It walks in place, in O(n+m) time with
-// no scratch: refParent is reset to unvisited and then serves as both
-// the visited marks and the DFS stack, every effective root's walk
-// shares those marks, and each write to refNames and maxSub compares
-// against the value it overwrites, which gives the verdict. The arrays
-// are reallocated, at exactly n, only when the id space grew. Nodes no
-// walk reaches (dead, or live but cut off mid-partition) get refName
-// −1, which no live reachable node ever holds, so stale positions
-// compare unequal.
+// no scratch beyond the reused root list: refParent is reset to
+// unvisited and then serves as both the visited marks and the DFS
+// stack, every live root's walk shares those marks, and each write to
+// refNames and maxSub compares against the value it overwrites, which
+// gives the verdict. The arrays are reallocated, at exactly n, only
+// when the id space grew. Nodes no walk reaches (dead, or live but cut
+// off mid-partition) get refName −1, which no live reachable node ever
+// holds, so stale positions compare unequal.
 func (d *DFTNO) rebuildReference() bool {
 	n := d.g.N()
 	changed := len(d.refNames) != n
@@ -209,22 +212,17 @@ func (d *DFTNO) rebuildReference() bool {
 	for v := range d.refParent {
 		d.refParent[v] = unvisited
 	}
-	if d.auth == nil {
-		changed = d.walkReference(d.sub.Root()) || changed
-	} else {
-		// Per-component preorders from every effective root, each
-		// naming its component 0..|C|−1 — consistent with OnRootStart
-		// naming an acting root 0 when it regenerates the token. A
-		// second effective root inside an already-walked component
-		// (transient multi-root configuration) keeps the first walk's
-		// naming; the circulator's own multi-root veto keeps the
-		// composed predicate false until the authority settles on one
-		// root per component.
-		for v := 0; v < n; v++ {
-			id := graph.NodeID(v)
-			if d.refParent[id] == unvisited && d.g.Alive(id) && d.auth.IsRoot(id) {
-				changed = d.walkReference(id) || changed
-			}
+	// Per-component preorders from every live root, each naming its
+	// component 0..|C|−1 — consistent with OnRootStart naming a root 0
+	// when it regenerates the token. A second root inside an
+	// already-walked component (transient multi-root configuration)
+	// keeps the first walk's naming; the circulator's own multi-root
+	// veto keeps the composed predicate false until the authority
+	// settles on one root per component.
+	d.rootBuf = d.roots.AppendLive(d.rootBuf[:0])
+	for _, r := range d.rootBuf {
+		if d.refParent[r] == unvisited {
+			changed = d.walkReference(r) || changed
 		}
 	}
 	for v, p := range d.refParent {
@@ -284,29 +282,25 @@ func (d *DFTNO) walkReference(root graph.NodeID) bool {
 // re-anchors at the authority's effective roots (one preorder per
 // rooted component), and the binding is forwarded to the substrate so
 // the circulation itself restarts from the same roots. A nil binding
-// keeps the fixed-root naming bit-identical.
+// anchors both at the fixed root alone.
 func (d *DFTNO) BindRootAuthority(a program.RootAuthority) {
 	if r, ok := d.sub.(program.Rootable); ok {
 		r.BindRootAuthority(a)
 	}
-	d.auth = a
-	if a != nil {
-		d.authVer = a.RootsVersion()
-	}
+	d.roots.Bind(a)
 	if d.rebuildReference() {
 		d.wit.Invalidate()
 	}
 }
 
-// ensureRef re-derives the reference naming when the bound authority's
-// root set has moved since the last derivation. Root flips rewrite no
-// node state, so nothing else invalidates the witness counters — every
-// legitimacy decision funnels through here first.
+// ensureRef re-derives the reference naming when the root set has
+// moved since the last derivation. Root flips rewrite no node state,
+// so nothing else invalidates the witness counters — every legitimacy
+// decision funnels through here first.
 func (d *DFTNO) ensureRef() {
-	if d.auth == nil || d.authVer == d.auth.RootsVersion() {
+	if !d.roots.Moved() {
 		return
 	}
-	d.authVer = d.auth.RootsVersion()
 	d.RefRebuilds++
 	if d.rebuildReference() {
 		d.wit.Invalidate()
@@ -571,8 +565,8 @@ func (d *DFTNO) Legitimate() bool {
 // the touched set's closed neighbourhoods: all of DFTNO's own guards
 // read one hop, like the substrate's.
 func (d *DFTNO) TopologyChanged(dlt graph.Delta, buf []graph.NodeID) []graph.NodeID {
-	if ta, ok := d.sub.(program.TopologyAware); ok {
-		buf = ta.TopologyChanged(dlt, buf)
+	if d.subTopo != nil {
+		buf = d.subTopo.TopologyChanged(dlt, buf)
 	}
 	if n := d.g.N(); len(d.eta) < n {
 		for len(d.eta) < n {
@@ -606,9 +600,7 @@ func (d *DFTNO) TopologyChanged(dlt graph.Delta, buf []graph.NodeID) []graph.Nod
 	}
 	if rebuild {
 		d.RefRebuilds++
-		if d.auth != nil {
-			d.authVer = d.auth.RootsVersion()
-		}
+		d.roots.Moved() // the rebuild reads the current root set
 		if d.rebuildReference() {
 			d.wit.Invalidate()
 		}

@@ -14,7 +14,8 @@ import (
 )
 
 // referenceOracle derives d's reference naming from scratch: one
-// graph.DFSPreorder per effective root, each with fresh slices, and
+// graph.DFSPreorder per live effective root in id order (the fixed root
+// alone when no authority is bound), each with fresh slices, and
 // maxSub from subtree sizes summed in reverse preorder. A root inside
 // an already-named component is skipped (counted in shared); nodes no
 // root reaches get name and maxSub −1 and parent None.
@@ -46,12 +47,8 @@ func referenceOracle(d *DFTNO) (names, maxSub []int, parent []graph.NodeID, root
 			maxSub[v] = names[v] + size[v] - 1
 		}
 	}
-	if d.auth == nil {
-		run(d.sub.Root())
-		return names, maxSub, parent, roots, shared
-	}
 	for v := 0; v < n; v++ {
-		if id := graph.NodeID(v); d.g.Alive(id) && d.auth.IsRoot(id) {
+		if id := graph.NodeID(v); d.g.Alive(id) && d.roots.IsRoot(id) {
 			run(id)
 		}
 	}

@@ -48,8 +48,7 @@ type STNO struct {
 	g       *graph.Graph
 	sub     TreeSubstrate
 	modulus int
-	auth    program.RootAuthority // nil ⇒ the substrate's fixed root names itself 0
-	authVer uint64                // RootsVersion the witness counters were armed under
+	roots   program.Roots // every root names itself 0; its key dates the witness counters
 
 	weight []int
 	eta    []int
@@ -66,9 +65,10 @@ type STNO struct {
 
 	// Optional substrate capabilities, type-asserted once from sub;
 	// nil ⇒ the layer skips the substrate (an empty snapshot layer, no
-	// substrate corruption).
+	// substrate corruption, no topology hook).
 	subSnap    program.Snapshotter
 	subCorrupt program.NodeCorruptor
+	subTopo    program.TopologyAware
 }
 
 // Compile-time interface compliance.
@@ -99,6 +99,7 @@ func NewSTNO(g *graph.Graph, sub TreeSubstrate, modulus int) (*STNO, error) {
 		g:       g,
 		sub:     sub,
 		modulus: modulus,
+		roots:   program.NewRoots(g, sub.Root()),
 		weight:  make([]int, g.N()),
 		eta:     make([]int, g.N()),
 		start:   make([][]int, g.N()),
@@ -113,6 +114,7 @@ func NewSTNO(g *graph.Graph, sub TreeSubstrate, modulus int) (*STNO, error) {
 	s.subWit, _ = sub.(program.Witness)
 	s.subSnap, _ = sub.(program.Snapshotter)
 	s.subCorrupt, _ = sub.(program.NodeCorruptor)
+	s.subTopo, _ = sub.(program.TopologyAware)
 	return s, nil
 }
 
@@ -152,17 +154,6 @@ func (s *STNO) Labeling() *sod.Labeling {
 	return l
 }
 
-// isRoot is the effective-root test STNO's naming rules anchor at: a
-// root takes name 0 and owns no parent slot. Without a bound
-// authority it is the substrate's fixed root, bit-identical to the
-// pre-failover behaviour.
-func (s *STNO) isRoot(v graph.NodeID) bool {
-	if s.auth == nil {
-		return v == s.sub.Root()
-	}
-	return s.g.Alive(v) && s.auth.IsRoot(v)
-}
-
 // BindRootAuthority implements program.Rootable: the binding is
 // forwarded to the tree substrate (which re-anchors its reference
 // structure) and recorded here so expectedEta names every effective
@@ -172,22 +163,7 @@ func (s *STNO) BindRootAuthority(a program.RootAuthority) {
 	if r, ok := s.sub.(program.Rootable); ok {
 		r.BindRootAuthority(a)
 	}
-	s.auth = a
-	if a != nil {
-		s.authVer = a.RootsVersion()
-	}
-	s.wit.Invalidate()
-}
-
-// ensureAuth invalidates the witness counters when the bound
-// authority's root set moved since they were armed; every legitimacy
-// decision funnels through here first (root flips rewrite no node
-// state, so nothing else re-arms the counters).
-func (s *STNO) ensureAuth() {
-	if s.auth == nil || s.authVer == s.auth.RootsVersion() {
-		return
-	}
-	s.authVer = s.auth.RootsVersion()
+	s.roots.Bind(a)
 	s.wit.Invalidate()
 }
 
@@ -210,7 +186,7 @@ func (s *STNO) expectedWeight(v graph.NodeID) int {
 // (Start_{A_v}[v]); ok is false when v is not the root and has no
 // valid parent. The root's name is 0.
 func (s *STNO) expectedEta(v graph.NodeID) (int, bool) {
-	if s.isRoot(v) {
+	if s.roots.IsRoot(v) {
 		return 0, true
 	}
 	p := s.sub.Parent(v)
@@ -377,7 +353,6 @@ func (s *STNO) ActionName(a program.ActionID) string {
 // equations force the true subtree sizes, the range distribution then
 // forces the preorder naming (SP1), and the label equations force SP2.
 func (s *STNO) Legitimate() bool {
-	s.ensureAuth()
 	if !s.sub.Stable() {
 		return false
 	}
@@ -402,8 +377,8 @@ func (s *STNO) Legitimate() bool {
 // so a topology event is visible that far out — the same widening the
 // Influence declaration applies to substrate moves.
 func (s *STNO) TopologyChanged(d graph.Delta, buf []graph.NodeID) []graph.NodeID {
-	if ta, ok := s.sub.(program.TopologyAware); ok {
-		buf = ta.TopologyChanged(d, buf)
+	if s.subTopo != nil {
+		buf = s.subTopo.TopologyChanged(d, buf)
 	}
 	if n := s.g.N(); len(s.eta) < n {
 		for len(s.eta) < n {

@@ -56,9 +56,9 @@ func (d *DFTNO) WitnessRefresh(v graph.NodeID) {
 	d.wit.Refresh(v, d.dftnoViolates(v))
 }
 
-// WitnessLegitimate implements program.Witness. ensureRef first: an
-// IsRoot flip under a bound authority re-anchors the reference naming
-// without touching any node, invalidating the counters.
+// WitnessLegitimate implements program.Witness. ensureRef first: a
+// root-set change re-anchors the reference naming without touching any
+// node, invalidating the counters.
 func (d *DFTNO) WitnessLegitimate() bool {
 	d.ensureRef()
 	if !d.wit.Valid() {
@@ -101,10 +101,13 @@ func (s *STNO) WitnessRefresh(v graph.NodeID) {
 	s.wit.Refresh(v, s.stnoViolates(v))
 }
 
-// WitnessLegitimate implements program.Witness; ensureAuth as for
-// DFTNO's ensureRef.
+// WitnessLegitimate implements program.Witness. A root-set change
+// changes clause verdicts without touching any node, so it invalidates
+// the counters first.
 func (s *STNO) WitnessLegitimate() bool {
-	s.ensureAuth()
+	if s.roots.Moved() {
+		s.wit.Invalidate()
+	}
 	if !s.wit.Valid() {
 		s.WitnessReset()
 	}

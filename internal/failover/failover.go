@@ -112,9 +112,11 @@ type Protocol struct {
 
 	// Optional stack capabilities, type-asserted once from in; nil ⇒
 	// the wrapper skips the stack (an empty snapshot layer, no stack
-	// corruption).
+	// corruption, the default 1-hop influence, no topology hook).
 	inSnap    program.Snapshotter
 	inCorrupt program.NodeCorruptor
+	inInf     program.Influencer
+	inTopo    program.TopologyAware
 }
 
 // Compile-time interface compliance.
@@ -162,6 +164,8 @@ func New(g *graph.Graph, inner Inner, root graph.NodeID) *Protocol {
 	p.inWit, _ = inner.(program.Witness)
 	p.inSnap, _ = inner.(program.Snapshotter)
 	p.inCorrupt, _ = inner.(program.NodeCorruptor)
+	p.inInf, _ = inner.(program.Influencer)
+	p.inTopo, _ = inner.(program.TopologyAware)
 	inner.BindRootAuthority(p)
 	return p
 }
@@ -477,8 +481,8 @@ func (p *Protocol) Influence(v graph.NodeID, a program.ActionID, buf []graph.Nod
 	if a >= ActDetect {
 		return program.InfluenceWalk(p.g, v, 2, buf)
 	}
-	if inf, ok := p.in.(program.Influencer); ok {
-		return inf.Influence(v, a, buf)
+	if p.inInf != nil {
+		return p.inInf.Influence(v, a, buf)
 	}
 	return program.InfluenceClosedNeighborhood(p.g, v, buf)
 }
@@ -616,8 +620,8 @@ func (p *Protocol) TopologyChanged(d graph.Delta, buf []graph.NodeID) []graph.No
 		p.rootsVer++ // the bound N grew: saturated counters are no longer saturated
 		p.wit.Invalidate()
 	}
-	if ta, ok := p.in.(program.TopologyAware); ok {
-		buf = ta.TopologyChanged(d, buf)
+	if p.inTopo != nil {
+		buf = p.inTopo.TopologyChanged(d, buf)
 	}
 	if d.Kind == graph.NodeAdded || d.Kind == graph.NodeRemoved {
 		p.rootsVer++

@@ -35,7 +35,8 @@ const actionStride = 8
 // neither moved nor been seen disabled since.
 type guards struct {
 	proto Protocol
-	inf   Influencer // cached type assertion; nil ⇒ default 1-hop locality
+	inf   Influencer    // cached type assertion; nil ⇒ default 1-hop locality
+	topo  TopologyAware // cached type assertion; nil ⇒ default delta ball
 	g     *graph.Graph
 
 	inited  bool
@@ -61,7 +62,8 @@ type guards struct {
 
 func newGuards(proto Protocol) guards {
 	inf, _ := proto.(Influencer)
-	return guards{proto: proto, inf: inf, g: proto.Graph(), seenN: proto.Graph().N()}
+	topo, _ := proto.(TopologyAware)
+	return guards{proto: proto, inf: inf, topo: topo, g: proto.Graph(), seenN: proto.Graph().N()}
 }
 
 // grow extends the per-node slots from len(acts) to n in place: the
@@ -169,8 +171,8 @@ func (c *guards) influence(v graph.NodeID, a ActionID, buf []graph.NodeID) []gra
 // reports whether the id space grew. Uninited, the slots grow at the
 // next bootstrap instead, which sizes them to the graph.
 func (c *guards) applyDelta(d graph.Delta, dirty []graph.NodeID) ([]graph.NodeID, bool) {
-	if ta, ok := c.proto.(TopologyAware); ok {
-		c.deltaBall = ta.TopologyChanged(d, c.deltaBall[:0])
+	if c.topo != nil {
+		c.deltaBall = c.topo.TopologyChanged(d, c.deltaBall[:0])
 	} else {
 		c.deltaBall = c.deltaBall[:0]
 		for _, u := range d.Touched {

@@ -253,9 +253,11 @@ type RootAuthority interface {
 
 // Rootable is implemented by rooted protocols that can defer their
 // root test to a RootAuthority. Binding a nil authority (or never
-// binding one) leaves the protocol's fixed-root behaviour bit-exact;
-// layered protocols forward the binding to their substrates so the
-// whole stack re-anchors coherently.
+// binding one) anchors the protocol at its fixed root alone: the
+// degenerate authority whose only root is the live fixed root (see
+// Roots), so binding that authority explicitly changes no move and no
+// verdict. Layered protocols forward the binding to their substrates
+// so the whole stack re-anchors coherently.
 type Rootable interface {
 	BindRootAuthority(a RootAuthority)
 }

@@ -16,20 +16,17 @@ import (
 // unfair distributed daemon: distances converge level by level to the
 // true BFS distances, after which no action is enabled.
 type BFSTree struct {
-	g    *graph.Graph
-	root graph.NodeID
-	auth program.RootAuthority // nil ⇒ the fixed root is the only root
+	g     *graph.Graph
+	roots program.Roots
 
 	dist []int
 	par  []graph.NodeID
 
 	// wantDist caches the true BFS distances for the legitimacy
-	// predicate: single-source from the fixed root, or multi-source
-	// from every effective root when an authority is bound. authVer is
-	// the RootsVersion the cache was computed at (the staleness key —
-	// an IsRoot flip re-anchors distances without touching any node).
+	// predicate: multi-source from every live root, re-derived when the
+	// root set moves (an IsRoot flip re-anchors distances without
+	// touching any node).
 	wantDist []int
-	authVer  uint64
 
 	// wit is the incremental legitimacy witness (see witness.go).
 	wit program.ViolationCounter
@@ -60,10 +57,10 @@ func NewBFSTree(g *graph.Graph, root graph.NodeID) (*BFSTree, error) {
 		return nil, fmt.Errorf("spantree: root %d out of range for %s", root, g)
 	}
 	t := &BFSTree{
-		g:    g,
-		root: root,
-		dist: make([]int, g.N()),
-		par:  make([]graph.NodeID, g.N()),
+		g:     g,
+		roots: program.NewRoots(g, root),
+		dist:  make([]int, g.N()),
+		par:   make([]graph.NodeID, g.N()),
 	}
 	for v := range t.dist {
 		t.dist[v] = g.N()
@@ -74,35 +71,21 @@ func NewBFSTree(g *graph.Graph, root graph.NodeID) (*BFSTree, error) {
 }
 
 // computeWant returns the reference distances the legitimacy predicate
-// compares against: BFS from the fixed root, or multi-source BFS from
-// every live effective root under a bound authority. Unreachable nodes
-// get the "infinite" value n — the locally detectable orphan state.
+// compares against: the multi-source BFS from every live root.
+// Unreachable nodes get the "infinite" value n — the locally detectable
+// orphan state.
 func (t *BFSTree) computeWant() []int {
 	n := t.g.N()
-	if t.auth == nil {
-		want, _ := graph.BFSFrom(t.g, t.root)
-		for v := range want {
-			if want[v] < 0 {
-				want[v] = n
-			}
-		}
-		return want
-	}
 	want := make([]int, n)
 	for v := range want {
 		want[v] = -1
 	}
-	queue := make([]graph.NodeID, 0, n)
-	for v := 0; v < n; v++ {
-		id := graph.NodeID(v)
-		if t.g.Alive(id) && t.auth.IsRoot(id) {
-			want[v] = 0
-			queue = append(queue, id)
-		}
+	queue := t.roots.AppendLive(make([]graph.NodeID, 0, n))
+	for _, r := range queue {
+		want[r] = 0
 	}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
 		for _, q := range t.g.Neighbors(u) {
 			if q != graph.None && want[q] < 0 {
 				want[q] = want[u] + 1
@@ -136,35 +119,22 @@ func (t *BFSTree) setWant(want []int) {
 	}
 }
 
-// ensureWant lazily recomputes the reference distances when the bound
-// authority's root set moved since they were cached.
+// ensureWant lazily recomputes the reference distances when the root
+// set moved since they were computed.
 func (t *BFSTree) ensureWant() {
-	if t.auth == nil || t.authVer == t.auth.RootsVersion() {
-		return
+	if t.roots.Moved() {
+		t.setWant(t.computeWant())
 	}
-	t.authVer = t.auth.RootsVersion()
-	t.setWant(t.computeWant())
 }
 
 // BindRootAuthority implements program.Rootable: the root test in
 // desired and Parent defers to the authority, and the reference
 // distances become the multi-source BFS from the effective root set,
-// re-derived lazily whenever RootsVersion moves. A nil authority keeps
-// the fixed-root behaviour bit-exact.
+// re-derived lazily whenever it moves. A nil authority anchors the
+// tree at the fixed root alone.
 func (t *BFSTree) BindRootAuthority(a program.RootAuthority) {
-	t.auth = a
-	if a != nil {
-		t.authVer = a.RootsVersion()
-	}
+	t.roots.Bind(a)
 	t.setWant(t.computeWant())
-}
-
-// isRoot reports whether v currently acts as a root.
-func (t *BFSTree) isRoot(v graph.NodeID) bool {
-	if t.auth == nil {
-		return v == t.root
-	}
-	return t.auth.IsRoot(v)
 }
 
 // Name implements program.Protocol.
@@ -174,11 +144,11 @@ func (t *BFSTree) Name() string { return "bfstree" }
 func (t *BFSTree) Graph() *graph.Graph { return t.g }
 
 // Root implements Substrate.
-func (t *BFSTree) Root() graph.NodeID { return t.root }
+func (t *BFSTree) Root() graph.NodeID { return t.roots.Root() }
 
 // Parent implements Substrate.
 func (t *BFSTree) Parent(v graph.NodeID) graph.NodeID {
-	if t.isRoot(v) {
+	if t.roots.IsRoot(v) {
 		return graph.None
 	}
 	return t.par[v]
@@ -201,7 +171,7 @@ func (t *BFSTree) Dist(v graph.NodeID) int { return t.dist[v] }
 
 // desired returns the distance and parent v's action would write.
 func (t *BFSTree) desired(v graph.NodeID) (int, graph.NodeID) {
-	if t.isRoot(v) {
+	if t.roots.IsRoot(v) {
 		return 0, graph.None
 	}
 	min := t.g.N()
@@ -259,9 +229,9 @@ func (t *BFSTree) Stable() bool { return t.Legitimate() }
 // disconnected graph the true distance of a node whose component lost
 // the root is the "infinite" value n with no parent — any smaller
 // value strictly increases under desired, so the orphan fixpoint is
-// all-n: a locally detectable orphan state. Under a bound authority
-// the reference is the multi-source BFS from the effective root set,
-// so a component with an acting root converges to *local* legitimacy
+// all-n: a locally detectable orphan state. The reference is the
+// multi-source BFS from the root set, so under a bound authority a
+// component with an acting root converges to *local* legitimacy
 // instead of the degraded all-n fixpoint.
 func (t *BFSTree) Legitimate() bool {
 	t.ensureWant()
@@ -296,9 +266,7 @@ func (t *BFSTree) TopologyChanged(d graph.Delta, buf []graph.NodeID) []graph.Nod
 	for _, v := range d.Touched {
 		t.clamp(v)
 	}
-	if t.auth != nil {
-		t.authVer = t.auth.RootsVersion()
-	}
+	t.roots.Moved() // the rebuild reads the current root set
 	t.setWant(t.computeWant())
 	for _, v := range d.Touched {
 		buf = program.InfluenceClosedNeighborhood(t.g, v, buf)

@@ -22,18 +22,16 @@ import (
 // extended by one hop; paths longer than n−1 hops are invalid (⊥).
 // It is silent and self-stabilizing under the unfair daemon.
 type DFSTree struct {
-	g    *graph.Graph
-	root graph.NodeID
-	auth program.RootAuthority // nil ⇒ the fixed root is the only root
+	g     *graph.Graph
+	roots program.Roots
 
 	// path[v] is v's current port-path; nil means ⊥ (invalid).
 	path [][]int
 
 	// want caches the true minimal paths for the legitimacy predicate:
-	// one reference traversal per effective root when an authority is
-	// bound, re-derived lazily when its RootsVersion moves past authVer.
-	want    [][]int
-	authVer uint64
+	// one reference traversal per live root, re-derived lazily when the
+	// root set moves.
+	want [][]int
 
 	// wit is the incremental legitimacy witness (see witness.go).
 	wit program.ViolationCounter
@@ -60,49 +58,21 @@ func NewDFSTree(g *graph.Graph, root graph.NodeID) (*DFSTree, error) {
 		return nil, fmt.Errorf("spantree: root %d out of range for %s", root, g)
 	}
 	t := &DFSTree{
-		g:    g,
-		root: root,
-		path: make([][]int, g.N()),
+		g:     g,
+		roots: program.NewRoots(g, root),
+		path:  make([][]int, g.N()),
 	}
-	t.want = referencePaths(g, root)
+	t.want = t.computeWant()
 	return t, nil
 }
 
-// referencePaths computes the true lexicographically-minimal port
-// paths by simulating the deterministic DFS traversal: the first path
-// the traversal reaches a node by is its minimal path.
-func referencePaths(g *graph.Graph, root graph.NodeID) [][]int {
-	want := make([][]int, g.N())
-	visited := make([]bool, g.N())
-	visited[root] = true
-	want[root] = []int{}
-	var visit func(v graph.NodeID)
-	visit = func(v graph.NodeID) {
-		for port, q := range g.Neighbors(v) {
-			if q == graph.None || visited[q] {
-				continue
-			}
-			visited[q] = true
-			p := make([]int, len(want[v])+1)
-			copy(p, want[v])
-			p[len(p)-1] = port
-			want[q] = p
-			visit(q)
-		}
-	}
-	visit(root)
-	return want
-}
-
-// computeWant returns the reference minimal paths: from the fixed
-// root, or one traversal per live effective root when an authority is
-// bound (components are disjoint, so the traversals never collide; a
-// transient multi-root component keeps only the first root's paths and
-// therefore never reads legitimate, matching the failover contract).
+// computeWant returns the true lexicographically-minimal port paths by
+// simulating the deterministic DFS traversal from every live root: the
+// first path the traversal reaches a node by is its minimal path.
+// Components are disjoint, so the traversals never collide; a transient
+// multi-root component keeps only the first root's paths and therefore
+// never reads legitimate, matching the failover contract.
 func (t *DFSTree) computeWant() [][]int {
-	if t.auth == nil {
-		return referencePaths(t.g, t.root)
-	}
 	want := make([][]int, t.g.N())
 	visited := make([]bool, t.g.N())
 	var visit func(v graph.NodeID)
@@ -119,14 +89,12 @@ func (t *DFSTree) computeWant() [][]int {
 			visit(q)
 		}
 	}
-	for v := 0; v < t.g.N(); v++ {
-		id := graph.NodeID(v)
-		if !t.g.Alive(id) || !t.auth.IsRoot(id) || visited[v] {
-			continue
+	for _, r := range t.roots.AppendLive(nil) {
+		if !visited[r] {
+			visited[r] = true
+			want[r] = []int{}
+			visit(r)
 		}
-		visited[v] = true
-		want[v] = []int{}
-		visit(id)
 	}
 	return want
 }
@@ -149,32 +117,21 @@ func (t *DFSTree) setWant(want [][]int) {
 	}
 }
 
-// ensureWant lazily recomputes the reference paths when the bound
-// authority's root set moved since they were cached.
+// ensureWant lazily recomputes the reference paths when the root set
+// moved since they were computed.
 func (t *DFSTree) ensureWant() {
-	if t.auth == nil || t.authVer == t.auth.RootsVersion() {
-		return
+	if t.roots.Moved() {
+		t.setWant(t.computeWant())
 	}
-	t.authVer = t.auth.RootsVersion()
-	t.setWant(t.computeWant())
 }
 
-// BindRootAuthority implements program.Rootable; a nil authority keeps
-// the fixed-root behaviour bit-exact.
+// BindRootAuthority implements program.Rootable: the root test in
+// desired and Parent defers to the authority, and the reference paths
+// are one traversal per effective root. A nil authority anchors the
+// tree at the fixed root alone.
 func (t *DFSTree) BindRootAuthority(a program.RootAuthority) {
-	t.auth = a
-	if a != nil {
-		t.authVer = a.RootsVersion()
-	}
+	t.roots.Bind(a)
 	t.setWant(t.computeWant())
-}
-
-// isRoot reports whether v currently acts as a root.
-func (t *DFSTree) isRoot(v graph.NodeID) bool {
-	if t.auth == nil {
-		return v == t.root
-	}
-	return t.auth.IsRoot(v)
 }
 
 // lexLess compares two paths; nil (⊥) is greater than everything, and
@@ -210,7 +167,7 @@ func pathEqual(a, b []int) bool {
 // empty path; every other node writes the minimal one-hop extension of
 // a neighbour's path, or ⊥ when every candidate is ⊥ or too long.
 func (t *DFSTree) desired(v graph.NodeID) []int {
-	if t.isRoot(v) {
+	if t.roots.IsRoot(v) {
 		return []int{}
 	}
 	var best []int
@@ -264,13 +221,13 @@ func (t *DFSTree) Graph() *graph.Graph { return t.g }
 func (t *DFSTree) ActionName(a program.ActionID) string { return "FixPath" }
 
 // Root implements Substrate.
-func (t *DFSTree) Root() graph.NodeID { return t.root }
+func (t *DFSTree) Root() graph.NodeID { return t.roots.Root() }
 
 // Parent implements Substrate: the neighbour whose path v's path
 // extends, i.e. the neighbour q with path_v = path_q ++ [port of v at
 // q]; None while v's path is ⊥ or inconsistent.
 func (t *DFSTree) Parent(v graph.NodeID) graph.NodeID {
-	if t.isRoot(v) || t.path[v] == nil || len(t.path[v]) == 0 {
+	if t.roots.IsRoot(v) || t.path[v] == nil || len(t.path[v]) == 0 {
 		return graph.None
 	}
 	last := t.path[v][len(t.path[v])-1]
@@ -313,7 +270,7 @@ func (t *DFSTree) Path(v graph.NodeID) []int { return t.path[v] }
 func (t *DFSTree) Stable() bool { return t.Legitimate() }
 
 // Legitimate implements program.Legitimacy: every live node holds the
-// true minimal path (per effective root under a bound authority).
+// true minimal path from its component's root.
 func (t *DFSTree) Legitimate() bool {
 	t.ensureWant()
 	for v := 0; v < t.g.N(); v++ {
@@ -342,9 +299,7 @@ func (t *DFSTree) TopologyChanged(d graph.Delta, buf []graph.NodeID) []graph.Nod
 		t.path = append(t.path, make([][]int, n-len(t.path))...)
 		t.wit.Invalidate()
 	}
-	if t.auth != nil {
-		t.authVer = t.auth.RootsVersion()
-	}
+	t.roots.Moved() // the rebuild reads the current root set
 	t.setWant(t.computeWant())
 	for _, v := range d.Touched {
 		buf = program.InfluenceClosedNeighborhood(t.g, v, buf)

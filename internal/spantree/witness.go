@@ -41,9 +41,9 @@ func (t *BFSTree) WitnessRefresh(v graph.NodeID) {
 	}
 }
 
-// WitnessLegitimate implements program.Witness. ensureWant first: an
-// IsRoot flip under a bound authority re-anchors the reference
-// distances without touching any node, invalidating the counters.
+// WitnessLegitimate implements program.Witness. ensureWant first: a
+// root-set change re-anchors the reference distances without touching
+// any node, invalidating the counters.
 func (t *BFSTree) WitnessLegitimate() bool {
 	t.ensureWant()
 	if !t.wit.Valid() {

@@ -42,10 +42,9 @@ import (
 // exhaustively on small graphs (package check) and statistically on
 // random graphs.
 type Circulator struct {
-	g    *graph.Graph
-	root graph.NodeID
-	ev   Events
-	auth program.RootAuthority // nil ⇒ the fixed root is the only root
+	g     *graph.Graph
+	roots program.Roots
+	ev    Events
 
 	seq  []uint64
 	ptr  []int
@@ -53,12 +52,14 @@ type Circulator struct {
 	lev  []int
 	done []bool
 
-	// chainStamp/chainEpoch implement the on-chain set of Legitimate
-	// without per-call allocation: v is on the chain iff
-	// chainStamp[v] == chainEpoch. Legitimate runs once per step in
-	// RunUntilLegitimate loops, so this is hot.
-	chainStamp []uint64
-	chainEpoch uint64
+	// Legitimate's scratch, reused so that it allocates nothing (it
+	// runs once per step in RunUntilLegitimate loops without a
+	// witness): chain is the on-chain set, live the live effective
+	// roots and compRoot each component label's root (see anchor),
+	// which the witness reads too.
+	chain    graph.Marks
+	live     []graph.NodeID
+	compRoot []graph.NodeID
 
 	// wit is the incremental legitimacy witness (see witness.go);
 	// lazily allocated when the runner arms it.
@@ -112,13 +113,13 @@ func NewCirculator(g *graph.Graph, root graph.NodeID) (*Circulator, error) {
 	}
 	n := g.N()
 	c := &Circulator{
-		g:    g,
-		root: root,
-		seq:  make([]uint64, n),
-		ptr:  make([]int, n),
-		par:  make([]graph.NodeID, n),
-		lev:  make([]int, n),
-		done: make([]bool, n),
+		g:     g,
+		roots: program.NewRoots(g, root),
+		seq:   make([]uint64, n),
+		ptr:   make([]int, n),
+		par:   make([]graph.NodeID, n),
+		lev:   make([]int, n),
+		done:  make([]bool, n),
 	}
 	for v := 0; v < n; v++ {
 		c.ptr[v] = -1
@@ -135,27 +136,23 @@ func (c *Circulator) Name() string { return "dftc" }
 func (c *Circulator) Graph() *graph.Graph { return c.g }
 
 // Root implements Substrate.
-func (c *Circulator) Root() graph.NodeID { return c.root }
+func (c *Circulator) Root() graph.NodeID { return c.roots.Root() }
 
 // BindRootAuthority implements program.Rootable: every root comparison
-// in the guards, statements and legitimacy predicates goes through
-// isRoot, so binding an authority re-anchors the circulation at
+// in the guards, statements and legitimacy predicates goes through the
+// root set, so binding an authority re-anchors the circulation at
 // whatever nodes the authority designates. A nil authority (the
-// default) keeps the fixed-root behaviour bit-exact.
-func (c *Circulator) BindRootAuthority(a program.RootAuthority) { c.auth = a }
-
-// isRoot reports whether v currently acts as a root. With no authority
-// bound this is the fixed-root comparison the paper's protocol uses.
-func (c *Circulator) isRoot(v graph.NodeID) bool {
-	if c.auth == nil {
-		return v == c.root
+// default) anchors it at the fixed root alone.
+func (c *Circulator) BindRootAuthority(a program.RootAuthority) {
+	c.roots.Bind(a)
+	if c.wit != nil {
+		c.wit.valid = false
 	}
-	return c.auth.IsRoot(v)
 }
 
 // Parent implements Substrate.
 func (c *Circulator) Parent(v graph.NodeID) graph.NodeID {
-	if c.isRoot(v) {
+	if c.roots.IsRoot(v) {
 		return graph.None
 	}
 	return c.par[v]
@@ -171,7 +168,7 @@ func (c *Circulator) Seq(v graph.NodeID) uint64 { return c.seq[v] }
 func (c *Circulator) Done(v graph.NodeID) bool { return c.done[v] }
 
 // Round returns the root's current round counter.
-func (c *Circulator) Round() uint64 { return c.seq[c.root] }
+func (c *Circulator) Round() uint64 { return c.seq[c.roots.Root()] }
 
 // maxNbrSeq returns the largest counter among v's neighbours.
 func (c *Circulator) maxNbrSeq(v graph.NodeID) uint64 {
@@ -273,7 +270,7 @@ func (c *Circulator) levPlusOne(v graph.NodeID) int {
 // catchUpReady reports whether the CatchUp guard holds at v.
 func (c *Circulator) catchUpReady(v graph.NodeID) bool {
 	m := c.maxNbrSeq(v)
-	if c.isRoot(v) {
+	if c.roots.IsRoot(v) {
 		return m > c.seq[v]
 	}
 	return m >= 2 && m-1 > c.seq[v] // gap of two or more rounds
@@ -281,7 +278,7 @@ func (c *Circulator) catchUpReady(v graph.NodeID) bool {
 
 // Enabled implements program.Protocol.
 func (c *Circulator) Enabled(v graph.NodeID, buf []program.ActionID) []program.ActionID {
-	if c.isRoot(v) {
+	if c.roots.IsRoot(v) {
 		if c.done[v] {
 			buf = append(buf, ActStart)
 		}
@@ -304,7 +301,7 @@ func (c *Circulator) Enabled(v graph.NodeID, buf []program.ActionID) []program.A
 func (c *Circulator) Execute(v graph.NodeID, a program.ActionID) bool {
 	switch a {
 	case ActStart:
-		if !c.isRoot(v) || !c.done[v] {
+		if !c.roots.IsRoot(v) || !c.done[v] {
 			return false
 		}
 		next := c.seq[v]
@@ -323,7 +320,7 @@ func (c *Circulator) Execute(v graph.NodeID, a program.ActionID) bool {
 
 	case ActForward:
 		q := c.arrowSource(v)
-		if c.isRoot(v) || q == graph.None {
+		if c.roots.IsRoot(v) || q == graph.None {
 			return false
 		}
 		c.par[v] = q
@@ -360,7 +357,7 @@ func (c *Circulator) Execute(v graph.NodeID, a program.ActionID) bool {
 			return false
 		}
 		m := c.maxNbrSeq(v)
-		if c.isRoot(v) {
+		if c.roots.IsRoot(v) {
 			c.seq[v] = m
 		} else {
 			c.seq[v] = m - 1
@@ -409,7 +406,6 @@ func (c *Circulator) TopologyChanged(d graph.Delta, buf []graph.NodeID) []graph.
 			c.lev = append(c.lev, 0)
 			c.done = append(c.done, true)
 		}
-		c.chainStamp = nil
 		if c.wit != nil {
 			c.wit.valid = false // node array too small; lazily re-arm
 		}
@@ -453,7 +449,7 @@ func (c *Circulator) Behind(u, v graph.NodeID) bool { return c.seq[u] < c.seq[v]
 // HasToken implements Substrate: v holds the token iff a token-moving
 // action (Start, Forward or Advance) is enabled at v.
 func (c *Circulator) HasToken(v graph.NodeID) bool {
-	if c.isRoot(v) {
+	if c.roots.IsRoot(v) {
 		if c.done[v] {
 			return true
 		}
@@ -490,7 +486,7 @@ func (c *Circulator) ActionName(a program.ActionID) string {
 // 1-hop ball as Enabled, through the guard helpers directly, keeping
 // instrumented Enabled-call counts unchanged on connected graphs.
 func (c *Circulator) orphanSilent(v graph.NodeID) bool {
-	if c.isRoot(v) {
+	if c.roots.IsRoot(v) {
 		if c.done[v] {
 			return false // Start is enabled
 		}
@@ -500,199 +496,79 @@ func (c *Circulator) orphanSilent(v graph.NodeID) bool {
 	return !c.advanceReady(v) && !c.catchUpReady(v) && !c.breakReady(v)
 }
 
-// rootComponent returns the component label of the root, or -1 when
-// the root is dead (every live node is then an orphan).
-func (c *Circulator) rootComponent() int {
-	if !c.g.Alive(c.root) {
-		return -1
+// sharedRoot marks, in compRoot, a component owning several roots.
+const sharedRoot graph.NodeID = graph.None - 1
+
+// anchor refreshes the root tables Legitimate and the witness read:
+// live, the live effective roots in ascending id order, and compRoot,
+// each component label's root (None for a component owning none,
+// sharedRoot for one owning several). It returns the number of
+// components owning several roots — a transient right after a heal
+// merges two acting roots.
+func (c *Circulator) anchor() (shared int) {
+	for i := range c.compRoot {
+		c.compRoot[i] = graph.None
 	}
-	return c.g.ComponentOf(c.root)
+	c.live = c.roots.AppendLive(c.live[:0])
+	for _, r := range c.live {
+		comp := c.g.ComponentOf(r)
+		for len(c.compRoot) <= comp {
+			c.compRoot = append(c.compRoot, graph.None)
+		}
+		switch c.compRoot[comp] {
+		case graph.None:
+			c.compRoot[comp] = r
+		case sharedRoot:
+		default:
+			c.compRoot[comp] = sharedRoot
+			shared++
+		}
+	}
+	return shared
 }
 
-// Legitimate implements program.Legitimacy, decided per component: the
-// root's component must be in a configuration reachable in ideal
-// operation — either the between-rounds configuration (everyone done
-// with the root's counter) or a mid-round configuration whose visited
-// set is a DFS prefix: a pointer chain of unfinished nodes from the
-// root with consistent levels and parents, every other visited node
-// finished, every unvisited node one round behind and finished, and at
-// most one in-flight arrow at the chain's head. Every node in a
-// component without the root must be silent (see orphanSilent); a dead
-// root makes every live node an orphan. Closure holds because the
-// guards read one hop: silence in an orphan component is stable until
-// a topology delta reconnects it, and the root's component cannot
-// enable an orphan.
-//
-// With a RootAuthority bound the predicate generalises per component:
-// every component owning exactly one effective root must satisfy the
-// classic predicate anchored at that root, components owning none must
-// be silent, and a component owning several (a transient right after a
-// heal merges two acting roots) is illegitimate outright.
+// rootOf returns the one root of component comp as of the last anchor,
+// or None when it owns none or several.
+func (c *Circulator) rootOf(comp int) graph.NodeID {
+	if comp < len(c.compRoot) && c.compRoot[comp] != sharedRoot {
+		return c.compRoot[comp]
+	}
+	return graph.None
+}
+
+// Legitimate implements program.Legitimacy, decided per component
+// against the root set (the fixed root, or the bound authority's
+// effective roots). A component owning one root r must be in a
+// configuration reachable in ideal operation from r — either the
+// between-rounds configuration (everyone done with r's counter) or a
+// mid-round configuration whose visited set is a DFS prefix: a pointer
+// chain of unfinished nodes from r with consistent levels and parents,
+// every other visited node finished, every unvisited node one round
+// behind and finished, and at most one in-flight arrow at the chain's
+// head. Every node in a component owning no root must be silent (see
+// orphanSilent); a dead fixed root makes every live node an orphan. A
+// component owning several roots is illegitimate outright. Closure
+// holds because the guards read one hop: silence in an orphan
+// component is stable until a topology delta reconnects it, and a
+// rooted component cannot enable an orphan.
 func (c *Circulator) Legitimate() bool {
-	if c.auth != nil {
-		return c.legitimateMulti()
-	}
-	r := c.root
-	rnd := c.seq[r]
-	rootComp := c.rootComponent()
-	if rootComp < 0 || c.done[r] {
-		for v := 0; v < c.g.N(); v++ {
-			id := graph.NodeID(v)
-			if !c.g.Alive(id) {
-				continue
-			}
-			if c.g.ComponentOf(id) != rootComp {
-				if !c.orphanSilent(id) {
-					return false
-				}
-				continue
-			}
-			if c.seq[v] != rnd || !c.done[v] || c.ptr[v] != -1 {
-				return false
-			}
-		}
-		return true
-	}
-	// Mid-round: walk the pointer chain from the root. The chain stays
-	// inside the root's component (pointers designate neighbours).
-	if c.chainStamp == nil {
-		c.chainStamp = make([]uint64, c.g.N())
-	}
-	c.chainEpoch++
-	onChain := c.chainStamp
-	v := r
-	if c.lev[r] != 0 {
+	g := c.g
+	if c.anchor() > 0 {
 		return false
 	}
-	for {
-		if c.done[v] || c.seq[v] != rnd || onChain[v] == c.chainEpoch {
+	c.chain.Reset(g.N())
+	for _, r := range c.live {
+		if !c.done[r] && !c.walkChain(r) {
 			return false
-		}
-		onChain[v] = c.chainEpoch
-		q := c.ptrTarget(v)
-		if q == graph.None {
-			break // head, freshly visited
-		}
-		switch {
-		case c.seq[q] == rnd && !c.done[q]:
-			// Chain continues; check the tree equations.
-			if c.par[q] != v || c.lev[q] != c.lev[v]+1 {
-				return false
-			}
-			v = q
-		case c.seq[q] == rnd && c.done[q]:
-			// Head awaiting an advance past a finished child.
-			return c.checkOffChain(onChain, rnd, rootComp)
-		case c.seq[q]+1 == rnd && c.done[q]:
-			// Head with an in-flight arrow to an unvisited node.
-			return c.checkOffChain(onChain, rnd, rootComp)
-		default:
-			return false
-		}
-	}
-	return c.checkOffChain(onChain, rnd, rootComp)
-}
-
-// checkOffChain verifies every node not on the pointer chain. In the
-// root's component: visited nodes are finished with retracted pointers
-// and valid parents; unvisited nodes are exactly one round behind and
-// finished. In every other component: silence.
-func (c *Circulator) checkOffChain(onChain []uint64, rnd uint64, rootComp int) bool {
-	for v := 0; v < c.g.N(); v++ {
-		if onChain[v] == c.chainEpoch || !c.g.Alive(graph.NodeID(v)) {
-			continue
-		}
-		id := graph.NodeID(v)
-		if c.g.ComponentOf(id) != rootComp {
-			if !c.orphanSilent(id) {
-				return false
-			}
-			continue
-		}
-		switch {
-		case c.seq[v] == rnd:
-			if !c.done[v] || c.ptr[v] != -1 {
-				return false
-			}
-			p := c.par[v]
-			if id == c.root || p == graph.None || !c.g.HasEdge(id, p) || c.seq[p] != rnd || c.lev[v] != c.lev[p]+1 {
-				return false
-			}
-		case c.seq[v]+1 == rnd:
-			if !c.done[v] || c.ptr[v] != -1 {
-				return false
-			}
-		default:
-			return false
-		}
-	}
-	return true
-}
-
-// legitimateMulti is Legitimate under a bound RootAuthority: each
-// component is checked against its own effective root. The chain walks
-// of distinct components mark the same stamp epoch — chains cannot
-// cross component boundaries, so the marks never collide.
-func (c *Circulator) legitimateMulti() bool {
-	g := c.g
-	roots := make(map[int]graph.NodeID)
-	for v := 0; v < g.N(); v++ {
-		id := graph.NodeID(v)
-		if !g.Alive(id) || !c.auth.IsRoot(id) {
-			continue
-		}
-		comp := g.ComponentOf(id)
-		if _, dup := roots[comp]; dup {
-			return false // two acting roots in one component
-		}
-		roots[comp] = id
-	}
-	if c.chainStamp == nil {
-		c.chainStamp = make([]uint64, g.N())
-	}
-	c.chainEpoch++
-	onChain := c.chainStamp
-	for _, r := range roots {
-		if c.done[r] {
-			continue // between rounds: no chain to walk
-		}
-		if c.lev[r] != 0 {
-			return false
-		}
-		rnd := c.seq[r]
-		v := r
-	walk:
-		for {
-			if c.done[v] || c.seq[v] != rnd || onChain[v] == c.chainEpoch {
-				return false
-			}
-			onChain[v] = c.chainEpoch
-			q := c.ptrTarget(v)
-			if q == graph.None {
-				break // head, freshly visited
-			}
-			switch {
-			case c.seq[q] == rnd && !c.done[q]:
-				if c.par[q] != v || c.lev[q] != c.lev[v]+1 {
-					return false
-				}
-				v = q
-			case c.seq[q] == rnd && c.done[q]:
-				break walk // head awaiting an advance past a finished child
-			case c.seq[q]+1 == rnd && c.done[q]:
-				break walk // head with an in-flight arrow
-			default:
-				return false
-			}
 		}
 	}
 	for v := 0; v < g.N(); v++ {
 		id := graph.NodeID(v)
-		if !g.Alive(id) || onChain[v] == c.chainEpoch {
+		if !g.Alive(id) || c.chain.Has(id) {
 			continue
 		}
-		r, ok := roots[g.ComponentOf(id)]
-		if !ok {
+		r := c.rootOf(g.ComponentOf(id))
+		if r == graph.None {
 			if !c.orphanSilent(id) {
 				return false
 			}
@@ -708,14 +584,16 @@ func (c *Circulator) legitimateMulti() bool {
 		}
 		switch {
 		case c.seq[v] == rnd:
+			// Visited off the chain: finished, with a valid parent.
 			if !c.done[v] || c.ptr[v] != -1 {
 				return false
 			}
 			p := c.par[v]
-			if c.isRoot(id) || p == graph.None || !g.HasEdge(id, p) || c.seq[p] != rnd || c.lev[v] != c.lev[p]+1 {
+			if c.roots.IsRoot(id) || p == graph.None || !g.HasEdge(id, p) || c.seq[p] != rnd || c.lev[v] != c.lev[p]+1 {
 				return false
 			}
 		case c.seq[v]+1 == rnd:
+			// Unvisited: one round behind and finished.
 			if !c.done[v] || c.ptr[v] != -1 {
 				return false
 			}
@@ -724,6 +602,43 @@ func (c *Circulator) legitimateMulti() bool {
 		}
 	}
 	return true
+}
+
+// walkChain adds the pointer chain from the mid-round root r to the
+// on-chain set and reports whether it is well formed: unfinished nodes
+// of r's round, each the parent one level up of the next, ending at a
+// head that is freshly visited, awaits an advance past a finished
+// child, or has an in-flight arrow to an unvisited node. Chains stay
+// inside their component (pointers designate neighbours), so the walks
+// of distinct roots never meet.
+func (c *Circulator) walkChain(r graph.NodeID) bool {
+	if c.lev[r] != 0 {
+		return false
+	}
+	rnd := c.seq[r]
+	for v := r; ; {
+		if c.done[v] || c.seq[v] != rnd || !c.chain.Add(v) {
+			return false
+		}
+		q := c.ptrTarget(v)
+		if q == graph.None {
+			return true // head, freshly visited
+		}
+		switch {
+		case c.seq[q] == rnd && !c.done[q]:
+			// Chain continues; check the tree equations.
+			if c.par[q] != v || c.lev[q] != c.lev[v]+1 {
+				return false
+			}
+			v = q
+		case c.done[q] && (c.seq[q] == rnd || c.seq[q]+1 == rnd):
+			// Head awaiting an advance past a finished child, or with
+			// an in-flight arrow to an unvisited node.
+			return true
+		default:
+			return false
+		}
+	}
 }
 
 // Snapshot implements program.Snapshotter. Snapshots are canonical

@@ -41,13 +41,13 @@ import (
 // feeds depends on component labels, which a merge or split relabels
 // WITHOUT touching the node, so the witness caches the CompVersion it
 // was built against and rebuilds from scratch when the graph's moves
-// past it. Two further staleness keys guard the same way: the root's
-// liveness epoch (graph.RootEpoch — a die/revive pair between two
+// past it. The root set's staleness key guards the same way (see
+// program.Roots): the authority's RootsVersion, since an IsRoot flip
+// re-anchors whole components without touching them, or with none
+// bound the fixed root's liveness epoch — a die/revive pair between two
 // queries restores Alive(root) to true while every cached
 // classification is garbage, and CompVersion need not move when a
-// degree-one root dies), and, when a RootAuthority is bound, its
-// RootsVersion (an IsRoot flip re-anchors whole components without
-// touching them).
+// degree-one root dies.
 //
 // Per rooted component with effective root r, rnd = seq_r: between
 // rounds (done_r): legitimate ⇔ cnt[rnd] = n_comp ∧ a[rnd] = 0.
@@ -55,10 +55,7 @@ import (
 // n_comp ∧ a[rnd−1] = 0 ∧ b[rnd] = d[rnd] = e[rnd] = 0. Overall
 // legitimacy is the conjunction over rooted components, plus
 // orphanLoud = 0, plus "no component owns two effective roots" (a
-// post-heal transient; multiRoot counts them). With no authority bound
-// there is at most one rooted component — the fixed root's, with a
-// dead root making every live node an orphan — which is exactly the
-// pre-failover predicate.
+// post-heal transient; shared counts them).
 //
 // The mid-round equivalence with the chain walk (per component):
 // d[rnd] = 0 makes every non-root unfinished node the unique
@@ -73,27 +70,23 @@ import (
 // equation its default clause. TestWitnessMatchesChainWalk audits the
 // equivalence on random executions; the model-checking suites pin
 // Legitimate() itself.
+//
+// The live-root list and the component→root table are the
+// circulator's live and compRoot, which anchor builds at reset.
+// Legitimate rebuilds them too: while the labels and the root set are
+// those of the last reset it writes the same entries, and what it
+// writes after a relabelling or a root flip only feeds contributions
+// that the reset the next WitnessLegitimate then forces discards.
 type circWitness struct {
 	valid      bool
 	tab        map[witKey]witCounters
 	node       []witContrib // cached contribution, for O(1) retraction
 	orphanLoud int          // orphan nodes with an enabled action
+	shared     int          // components owning several roots
 	compVer    uint64       // graph.CompVersion the labels were read at
-	rootEpoch  uint64       // graph.RootEpoch(root) the labels were read at
-	rootsVer   uint64       // RootAuthority.RootsVersion the roots were read at
-
-	// compRoot maps each component owning exactly one effective root to
-	// it; multiRoot counts components owning several. Built at reset
-	// from the bound authority; with none bound, compRoot holds at most
-	// the fixed root's component under pseudo-label 0.
-	compRoot  map[int]graph.NodeID
-	multiRoot int
 }
 
-// witKey addresses one seq bucket of one rooted component. With no
-// authority bound the component is always pseudo-label 0 (there is
-// only one rooted component), keeping the table exactly as cheap as
-// the pre-failover seq-keyed one.
+// witKey addresses one seq bucket of one rooted component.
 type witKey struct {
 	comp int
 	seq  uint64
@@ -110,7 +103,7 @@ type witCounters struct {
 // owning component's size, not N. An orphan node (live, component
 // without an effective root) contributes only its loud bit.
 type witContrib struct {
-	comp       int // bucket component (0 with no authority bound)
+	comp       int // bucket component
 	seq        uint64
 	a, b, d, e bool
 	dead       bool
@@ -162,28 +155,20 @@ func (c *Circulator) headPtrOK(v graph.NodeID) bool {
 }
 
 // witContribOf derives node v's contribution from its neighbourhood,
-// its component label (read at the cached CompVersion) and the cached
-// component→effective-root map (read at the cached RootsVersion).
+// its component label (read at the cached CompVersion) and the
+// component's root (read at the cached root-set key).
 func (c *Circulator) witContribOf(v graph.NodeID) witContrib {
 	if !c.g.Alive(v) {
 		return witContrib{dead: true}
 	}
-	bucket, root := 0, c.root
-	if c.auth == nil {
-		if c.g.ComponentOf(v) != c.rootComponent() {
-			return witContrib{orphan: true, loud: !c.orphanSilent(v)}
-		}
-	} else {
-		comp := c.g.ComponentOf(v)
-		r, ok := c.wit.compRoot[comp]
-		if !ok {
-			// Rootless component — or a multi-root one, whose counters
-			// are irrelevant because multiRoot already vetoes.
-			return witContrib{orphan: true, loud: !c.orphanSilent(v)}
-		}
-		bucket, root = comp, r
+	comp := c.g.ComponentOf(v)
+	root := c.rootOf(comp)
+	if root == graph.None {
+		// Rootless component — or a multi-root one, whose counters are
+		// irrelevant because shared already vetoes.
+		return witContrib{orphan: true, loud: !c.orphanSilent(v)}
 	}
-	w := witContrib{comp: bucket, seq: c.seq[v]}
+	w := witContrib{comp: comp, seq: c.seq[v]}
 	w.a = !c.done[v] || c.ptr[v] != -1
 	if v != root {
 		if c.done[v] {
@@ -244,32 +229,8 @@ func (c *Circulator) WitnessReset() {
 	}
 	c.wit.orphanLoud = 0
 	c.wit.compVer = c.g.CompVersion()
-	c.wit.rootEpoch = c.g.RootEpoch(c.root)
-	c.wit.rootsVer = 0
-	c.wit.compRoot = nil
-	c.wit.multiRoot = 0
-	if c.auth != nil {
-		c.wit.rootsVer = c.auth.RootsVersion()
-		c.wit.compRoot = make(map[int]graph.NodeID)
-		counts := make(map[int]int)
-		for v := 0; v < c.g.N(); v++ {
-			id := graph.NodeID(v)
-			if !c.g.Alive(id) || !c.auth.IsRoot(id) {
-				continue
-			}
-			comp := c.g.ComponentOf(id)
-			counts[comp]++
-			if counts[comp] == 1 {
-				c.wit.compRoot[comp] = id
-			}
-		}
-		for comp, n := range counts {
-			if n > 1 {
-				delete(c.wit.compRoot, comp)
-				c.wit.multiRoot++
-			}
-		}
-	}
+	c.roots.Moved() // the reset reads the current root set
+	c.wit.shared = c.anchor()
 	for v := 0; v < c.g.N(); v++ {
 		w := c.witContribOf(graph.NodeID(v))
 		c.wit.node[v] = w
@@ -296,46 +257,33 @@ func (c *Circulator) WitnessRefresh(v graph.NodeID) {
 // from the counters in O(components). A merge or split relabels
 // components beyond any Touched set, silently moving nodes between the
 // buckets and the orphan tally, so a CompVersion mismatch forces a
-// rebuild before the counters are trusted. So does a flip of the
-// root's liveness — keyed on graph.RootEpoch, not Alive, so a
-// die/revive pair between two queries (which leaves Alive compare-
-// equal while every classification is garbage) still rebuilds — and,
-// under a bound authority, any change to the effective root set
-// (RootsVersion moved).
+// rebuild before the counters are trusted. So does any change to the
+// root set (program.Roots.Moved).
 func (c *Circulator) WitnessLegitimate() bool {
-	if c.wit == nil || !c.wit.valid || c.wit.compVer != c.g.CompVersion() ||
-		c.wit.rootEpoch != c.g.RootEpoch(c.root) ||
-		(c.auth != nil && c.wit.rootsVer != c.auth.RootsVersion()) {
+	if c.wit == nil || !c.wit.valid || c.wit.compVer != c.g.CompVersion() || c.roots.Moved() {
 		c.WitnessReset()
 	}
-	if c.wit.orphanLoud != 0 || c.wit.multiRoot != 0 {
+	if c.wit.orphanLoud != 0 || c.wit.shared != 0 {
 		return false
 	}
-	if c.auth == nil {
-		rootComp := c.rootComponent()
-		if rootComp < 0 {
-			return true // dead root: orphan silence is the whole predicate
-		}
-		return c.witCompLegitimate(0, c.g.ComponentSize(rootComp), c.root)
-	}
-	for comp, r := range c.wit.compRoot {
-		if !c.witCompLegitimate(comp, c.g.ComponentSize(comp), r) {
+	for _, r := range c.live {
+		if !c.witCompLegitimate(c.g.ComponentOf(r), r) {
 			return false
 		}
 	}
 	return true
 }
 
-// witCompLegitimate decides one rooted component's clauses from its
-// bucket group: bucket is the table key component, pop the live
-// population to account for, r the effective root.
-func (c *Circulator) witCompLegitimate(bucket, pop int, r graph.NodeID) bool {
+// witCompLegitimate decides the clauses of component comp, whose root
+// is r, from its bucket group.
+func (c *Circulator) witCompLegitimate(comp int, r graph.NodeID) bool {
+	pop := c.g.ComponentSize(comp)
 	rnd := c.seq[r]
-	k := c.wit.tab[witKey{comp: bucket, seq: rnd}]
+	k := c.wit.tab[witKey{comp: comp, seq: rnd}]
 	if c.done[r] {
 		return k.cnt == pop && k.a == 0
 	}
-	kp := c.wit.tab[witKey{comp: bucket, seq: rnd - 1}]
+	kp := c.wit.tab[witKey{comp: comp, seq: rnd - 1}]
 	return c.lev[r] == 0 &&
 		k.cnt+kp.cnt == pop &&
 		kp.a == 0 && k.b == 0 && k.d == 0 && k.e == 0
