@@ -255,9 +255,13 @@
 // Every stack holds its root set in one program.Roots: the fixed root
 // is the degenerate authority whose only root is itself while it is
 // alive, so each root-derived computation (the circulator's predicate
-// and witness, the trees' reference vectors, DFTNO's reference naming)
-// exists once, in its per-root form, with or without a bound
-// authority. Acting-root staleness contract: inner stacks never cache
+// and witness, the trees' reference distances and paths, DFTNO's
+// reference naming) exists once, in its per-root form, with or without
+// a bound authority. The last three are one mechanism: each stack owns
+// a graph.Forest grown from the live roots — the port-order DFS for
+// DFTNO's names and the DFS tree's minimal paths, the multi-source BFS
+// for the BFS tree's distances — rebuilt in place after every topology
+// delta except the removal of a non-tree edge, which cannot change it. Acting-root staleness contract: inner stacks never cache
 // IsRoot-derived facts across a move of the root set's key (the
 // authority's RootsVersion, or the fixed root's graph.RootEpoch);
 // every Legitimate() or WitnessLegitimate() that reads a cached one

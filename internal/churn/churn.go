@@ -182,7 +182,7 @@ func (r *Runner) Run(cfg Config) (Stats, error) {
 	var st Stats
 	for e := 0; e < cfg.Events; e++ {
 		kind := mix[e%len(mix)]
-		restore, err := r.takeDown(kind, rng, cfg, &st)
+		restore, err := TakeDown(r.G, r.Root, kind, cfg.AllowDisconnect, cfg.PartitionSize, rng, func(d graph.Delta) { r.apply(d, &st) })
 		if errors.Is(err, ErrNoCandidate) {
 			// The seeded picker came up empty (no bridge, no spare
 			// edge, ...). That is a property of the current topology,
@@ -238,66 +238,55 @@ func (r *Runner) Run(cfg Config) (Stats, error) {
 	return st, nil
 }
 
-// takeDown applies one event's down phase and returns the closure that
-// restores it.
-func (r *Runner) takeDown(kind Kind, rng *rand.Rand, cfg Config, st *Stats) (func() error, error) {
-	apply := func(d graph.Delta) { r.apply(d, st) }
+// TakeDown applies the down phase of one event of the given kind to
+// g, feeding every delta through apply, and returns the closure that
+// restores it. The event's element is drawn by the kind's seeded
+// picker from rng: without allowDisconnect the flap and crash pickers
+// preserve connectivity and the bridge and island kinds are refused;
+// a partition region has partitionSize nodes (default n/4, min 1). It
+// returns ErrNoCandidate when the picker finds nothing. Runner.Run and
+// the fault.Churn campaign both take their events down here.
+func TakeDown(g *graph.Graph, root graph.NodeID, kind Kind, allowDisconnect bool, partitionSize int, rng *rand.Rand, apply func(graph.Delta)) (func() error, error) {
+	if !allowDisconnect && (kind == BridgeCut || kind == IslandCrash) {
+		return nil, fmt.Errorf("churn: %s requires AllowDisconnect", kind)
+	}
 	switch kind {
-	case EdgeFlap:
+	case EdgeFlap, BridgeCut:
 		pick := PickFlapEdge
-		if cfg.AllowDisconnect {
+		if kind == BridgeCut {
+			pick = PickBridgeEdge
+		} else if allowDisconnect {
 			pick = PickAnyEdge
 		}
-		u, v, ok := pick(r.G, rng)
+		u, v, ok := pick(g, rng)
 		if !ok {
 			return nil, ErrNoCandidate
 		}
-		return FlapDown(r.G, u, v, apply)
+		return FlapDown(g, u, v, apply)
 
-	case NodeCrash:
+	case NodeCrash, IslandCrash:
 		pick := PickCrashNode
-		if cfg.AllowDisconnect {
+		if kind == IslandCrash {
+			pick = PickCutVertex
+		} else if allowDisconnect {
 			pick = PickAnyNode
 		}
-		v, ok := pick(r.G, r.Root, rng)
+		v, ok := pick(g, root, rng)
 		if !ok {
 			return nil, ErrNoCandidate
 		}
-		return CrashDown(r.G, v, apply)
-
-	case BridgeCut:
-		if !cfg.AllowDisconnect {
-			return nil, fmt.Errorf("churn: %s requires AllowDisconnect", kind)
-		}
-		u, v, ok := PickBridgeEdge(r.G, rng)
-		if !ok {
-			return nil, ErrNoCandidate
-		}
-		return FlapDown(r.G, u, v, apply)
-
-	case IslandCrash:
-		if !cfg.AllowDisconnect {
-			return nil, fmt.Errorf("churn: %s requires AllowDisconnect", kind)
-		}
-		v, ok := PickCutVertex(r.G, r.Root, rng)
-		if !ok {
-			return nil, ErrNoCandidate
-		}
-		return CrashDown(r.G, v, apply)
+		return CrashDown(g, v, apply)
 
 	case Partition:
-		size := cfg.PartitionSize
+		size := partitionSize
 		if size <= 0 {
-			size = r.G.NAlive() / 4
+			size = g.NAlive() / 4
 		}
-		if size < 1 {
-			size = 1
-		}
-		cut, ok := PickPartitionCut(r.G, r.Root, size, rng)
+		cut, ok := PickPartitionCut(g, root, max(size, 1), rng)
 		if !ok {
 			return nil, ErrNoCandidate
 		}
-		return CutDown(r.G, cut, apply)
+		return CutDown(g, cut, apply)
 	}
 	return nil, fmt.Errorf("churn: unknown kind %d", kind)
 }
@@ -305,7 +294,7 @@ func (r *Runner) takeDown(kind Kind, rng *rand.Rand, cfg Config, st *Stats) (fun
 // FlapDown removes the edge {u,v}, feeding the delta through apply
 // (which must call System.ApplyDelta on every system driving a
 // protocol over g), and returns the closure that restores the edge the
-// same way. The down/restore choreography lives here once; the engine
+// same way. The down/restore choreography lives here once; TakeDown
 // and the fault.Churn campaign both consume it.
 func FlapDown(g *graph.Graph, u, v graph.NodeID, apply func(graph.Delta)) (func() error, error) {
 	d, err := g.RemoveEdge(u, v)

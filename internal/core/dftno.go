@@ -42,38 +42,27 @@ type DFTNO struct {
 	g       *graph.Graph
 	sub     TokenSubstrate
 	modulus int
-	roots   program.Roots  // where the reference naming is anchored, and its staleness key
-	rootBuf []graph.NodeID // rebuildReference's reused list of the live roots
+	roots   program.Roots // where the reference naming is anchored, and its staleness key
 
 	eta []int
 	max []int
 	pi  [][]int
 
-	// refNames is the stable naming: the preorder of the
-	// deterministic port-order DFS from the root, which is exactly
-	// the order the legitimate circulation visits (and names) the
-	// nodes. maxSub[v] is the largest reference name in v's DFS
-	// subtree — refNames[v] + |subtree(v)| − 1, preorder numbering a
-	// subtree contiguously. Together with the substrate's traversal
-	// introspection they decide the legitimacy predicate
-	// L_NO = L_TC ∧ SP1 ∧ SP2 (§3.2) as a per-node position
-	// invariant (see positionOK), replacing the recorded-cycle
-	// snapshot map that previously cost O(n²) bytes.
-	//
-	// refParent is the DFS-tree parent vector backing the incremental
-	// maintenance of refNames under topology churn: removing an edge
-	// that is NOT a tree edge of the reference DFS cannot change the
-	// traversal (when the walk scans that port the far endpoint is
-	// already visited either way), so TopologyChanged skips the
-	// O(n+m) rebuild in that case. RefRebuilds counts the rebuilds
-	// that did run, so churn experiments can prove they are rare
-	// relative to steps. A rebuild rewrites all three arrays in place
-	// (see rebuildReference): refParent doubles as the walk's visited
-	// marks and stack, so a rebuild allocates nothing unless the id
-	// space grew.
-	refNames  []int
-	maxSub    []int
-	refParent []graph.NodeID
+	// ref is the reference forest: the port-order DFS from the live
+	// roots, whose preorder is exactly the order the legitimate
+	// circulation visits (and names) the nodes. ref.Name(v) is v's
+	// stable name and ref.Last(v) the largest name in v's DFS subtree.
+	// Together with the substrate's traversal introspection they decide
+	// the legitimacy predicate L_NO = L_TC ∧ SP1 ∧ SP2 (§3.2) as a
+	// per-node position invariant (see positionOK), replacing the
+	// recorded-cycle snapshot map that previously cost O(n²) bytes.
+	// Each live root names its component 0..|C|−1, as OnRootStart names
+	// a root 0; a transient second root inside a walked component keeps
+	// the first root's naming, and the circulator's multi-root veto
+	// keeps the composed predicate false until the authority settles.
+	// Topology churn rebuilds it in place, except for the removal of a
+	// non-tree edge, which cannot change it (graph.Forest.TreeEdge).
+	ref graph.Forest
 
 	// RefRebuilds counts O(n+m) reference-naming rebuilds triggered
 	// by topology deltas (see TopologyChanged).
@@ -139,12 +128,14 @@ func NewDFTNO(g *graph.Graph, sub TokenSubstrate, modulus int) (*DFTNO, error) {
 	// Reference naming: the legitimate circulation is the
 	// deterministic port-order DFS from the root (the Substrate
 	// contract), whose Nodelabel macro assigns exactly the preorder
-	// index; a node's maxSub is the last name handed out when it
-	// finishes, by the contiguity of preorder.
-	d.rebuildReference()
+	// index; a node's Max when it finishes is the last name handed out
+	// in its subtree, by the contiguity of preorder.
+	d.ref.DFS(g, d.roots.AppendLive)
 
 	// Stabilized orientation state for the substrate's position.
-	copy(d.eta, d.refNames)
+	for v := range d.eta {
+		d.eta[v] = d.ref.Name(graph.NodeID(v))
+	}
 	for v := 0; v < g.N(); v++ {
 		id := graph.NodeID(v)
 		d.max[v] = d.expectedMax(id)
@@ -186,98 +177,6 @@ func NewDFTNO(g *graph.Graph, sub TokenSubstrate, modulus int) (*DFTNO, error) {
 	return d, nil
 }
 
-// unvisited marks, in refParent, a node the reference walk has not
-// reached yet; it differs from graph.None, the parent of a root.
-const unvisited graph.NodeID = graph.None - 1
-
-// rebuildReference recomputes the reference naming (refNames, maxSub,
-// refParent) from the current graph and reports whether the naming
-// (refNames or maxSub) changed. It walks in place, in O(n+m) time with
-// no scratch beyond the reused root list: refParent is reset to
-// unvisited and then serves as both the visited marks and the DFS
-// stack, every live root's walk shares those marks, and each write to
-// refNames and maxSub compares against the value it overwrites, which
-// gives the verdict. The arrays are reallocated, at exactly n, only
-// when the id space grew. Nodes no walk reaches (dead, or live but cut
-// off mid-partition) get refName −1, which no live reachable node ever
-// holds, so stale positions compare unequal.
-func (d *DFTNO) rebuildReference() bool {
-	n := d.g.N()
-	changed := len(d.refNames) != n
-	if changed {
-		d.refNames = make([]int, n)
-		d.maxSub = make([]int, n)
-		d.refParent = make([]graph.NodeID, n)
-	}
-	for v := range d.refParent {
-		d.refParent[v] = unvisited
-	}
-	// Per-component preorders from every live root, each naming its
-	// component 0..|C|−1 — consistent with OnRootStart naming a root 0
-	// when it regenerates the token. A second root inside an
-	// already-walked component (transient multi-root configuration)
-	// keeps the first walk's naming; the circulator's own multi-root
-	// veto keeps the composed predicate false until the authority
-	// settles on one root per component.
-	d.rootBuf = d.roots.AppendLive(d.rootBuf[:0])
-	for _, r := range d.rootBuf {
-		if d.refParent[r] == unvisited {
-			changed = d.walkReference(r) || changed
-		}
-	}
-	for v, p := range d.refParent {
-		if p != unvisited {
-			continue
-		}
-		d.refParent[v] = graph.None
-		if d.refNames[v] != -1 || d.maxSub[v] != -1 {
-			d.refNames[v], d.maxSub[v] = -1, -1
-			changed = true
-		}
-	}
-	return changed
-}
-
-// walkReference names root's component by the port-order DFS preorder
-// from root, writing refNames, maxSub and refParent in place, and
-// reports whether any refNames or maxSub entry changed. The stack is
-// the refParent chain: backtracking from c resumes its parent p at the
-// port after c's, and maxSub[c] is the last name handed out when c
-// finishes (preorder numbers a subtree contiguously).
-func (d *DFTNO) walkReference(root graph.NodeID) bool {
-	changed := d.refNames[root] != 0
-	d.refNames[root] = 0
-	d.refParent[root] = graph.None
-	next := 1
-	v, port := root, 0
-	for {
-		if port < d.g.Ports(v) {
-			q := d.g.Neighbor(v, port)
-			port++
-			if q != graph.None && d.refParent[q] == unvisited {
-				d.refParent[q] = v
-				if d.refNames[q] != next {
-					d.refNames[q] = next
-					changed = true
-				}
-				next++
-				v, port = q, 0
-			}
-			continue
-		}
-		if d.maxSub[v] != next-1 {
-			d.maxSub[v] = next - 1
-			changed = true
-		}
-		p := d.refParent[v]
-		if p == graph.None {
-			return changed
-		}
-		port, _ = d.g.PortOf(p, v)
-		v, port = p, port+1
-	}
-}
-
 // BindRootAuthority implements program.Rootable: the reference naming
 // re-anchors at the authority's effective roots (one preorder per
 // rooted component), and the binding is forwarded to the substrate so
@@ -288,7 +187,14 @@ func (d *DFTNO) BindRootAuthority(a program.RootAuthority) {
 		r.BindRootAuthority(a)
 	}
 	d.roots.Bind(a)
-	if d.rebuildReference() {
+	d.rebuild()
+}
+
+// rebuild regrows the reference naming from the live roots,
+// invalidating the witness counters when it changed: their clauses
+// compare η and Max against it at every node.
+func (d *DFTNO) rebuild() {
+	if d.ref.DFS(d.g, d.roots.AppendLive) {
 		d.wit.Invalidate()
 	}
 }
@@ -302,24 +208,22 @@ func (d *DFTNO) ensureRef() {
 		return
 	}
 	d.RefRebuilds++
-	if d.rebuildReference() {
-		d.wit.Invalidate()
-	}
+	d.rebuild()
 }
 
 // expectedMax returns the Max value the ideal execution holds at v
 // given the substrate's current traversal position: a finished subtree
-// has folded all its names (maxSub), a node exploring child q has
-// folded everything named before q (refNames[q]−1), and a freshly
+// has folded all its names (ref.Last), a node exploring child q has
+// folded everything named before q (ref.Name(q)−1), and a freshly
 // visited node only its own name.
 func (d *DFTNO) expectedMax(v graph.NodeID) int {
 	if d.sub.Finished(v) {
-		return d.maxSub[v]
+		return d.ref.Last(v)
 	}
 	if q := d.sub.Pointing(v); q != graph.None {
-		return d.refNames[q] - 1
+		return d.ref.Name(q) - 1
 	}
-	return d.refNames[v]
+	return d.ref.Name(v)
 }
 
 // Name implements program.Protocol.
@@ -344,8 +248,10 @@ func (d *DFTNO) Names() []int {
 // ReferenceNames returns a copy of the stabilized naming (the DFS
 // preorder of the network in port order).
 func (d *DFTNO) ReferenceNames() []int {
-	out := make([]int, len(d.refNames))
-	copy(out, d.refNames)
+	out := make([]int, d.g.N())
+	for v := range out {
+		out[v] = d.ref.Name(graph.NodeID(v))
+	}
 	return out
 }
 
@@ -456,17 +362,17 @@ func (d *DFTNO) ActionName(a program.ActionID) string {
 // traversal position, and the position itself is one the deterministic
 // port-order circulation visits. Concretely:
 //
-//   - a finished node holds maxSub[v], and none of its neighbours is a
+//   - a finished node holds ref.Last(v), and none of its neighbours is a
 //     round behind (a DFS subtree only closes after every neighbour of
 //     its nodes has been visited);
 //   - an unfinished node with a retracted pointer was just visited and
 //     holds its own name;
 //   - an unfinished node exploring (or arrowing to) child q holds
-//     refNames[q]−1, and every neighbour on an earlier port is already
+//     ref.Name(q)−1, and every neighbour on an earlier port is already
 //     visited (the circulation advances in port order).
 //
 // Each clause reads one hop, which is what lets the witness maintain
-// it from the scheduler's dirty sets. Together with eta ≡ refNames,
+// it from the scheduler's dirty sets. Together with η ≡ ref.Name,
 // SP2 labels and L_TC, the clauses hold exactly on the configurations
 // the ideal system visits forever after stabilization — the predicate
 // the recorded-cycle snapshot map (O(n²) bytes) used to decide by
@@ -475,7 +381,7 @@ func (d *DFTNO) ActionName(a program.ActionID) string {
 // spaces, and the model-checking suite re-proves closure+convergence.
 func (d *DFTNO) positionOK(v graph.NodeID) bool {
 	if d.sub.Finished(v) {
-		if d.max[v] != d.maxSub[v] {
+		if d.max[v] != d.ref.Last(v) {
 			return false
 		}
 		for _, w := range d.g.Neighbors(v) {
@@ -487,9 +393,9 @@ func (d *DFTNO) positionOK(v graph.NodeID) bool {
 	}
 	q := d.sub.Pointing(v)
 	if q == graph.None {
-		return d.max[v] == d.refNames[v]
+		return d.max[v] == d.ref.Name(v)
 	}
-	if d.max[v] != d.refNames[q]-1 {
+	if d.max[v] != d.ref.Name(q)-1 {
 		return false
 	}
 	for _, w := range d.g.Neighbors(v) {
@@ -513,7 +419,7 @@ func (d *DFTNO) positionOK(v graph.NodeID) bool {
 // satisfy SP2 — precisely the configurations the ideal system visits
 // forever after stabilization.
 //
-// Orphan nodes — live but unreachable from the root, refName −1 —
+// Orphan nodes — live but unreachable from the root, reference name −1 —
 // cannot satisfy the naming clause (η is drawn from 0..N−1), and the
 // circulation never reaches them to assign one; their condition is
 // SP2 consistency alone: labels derived from whatever names the
@@ -528,23 +434,13 @@ func (d *DFTNO) Legitimate() bool {
 	// Cheap necessary condition first: the predicate runs after every
 	// step in RunUntilLegitimate loops without a witness, and the name
 	// comparison fails fast. Dead nodes are outside the predicate.
-	for v := 0; v < d.g.N(); v++ {
-		if d.g.Alive(graph.NodeID(v)) && d.refNames[v] >= 0 && d.eta[v] != d.refNames[v] {
+	for v := range graph.NodeID(d.g.N()) {
+		if d.g.Alive(v) && d.ref.Name(v) >= 0 && d.eta[v] != d.ref.Name(v) {
 			return false
 		}
 	}
-	for v := 0; v < d.g.N(); v++ {
-		id := graph.NodeID(v)
-		if !d.g.Alive(id) {
-			continue
-		}
-		if d.refNames[v] < 0 {
-			if d.invalidEdgeLabel(id) {
-				return false
-			}
-			continue
-		}
-		if !d.positionOK(id) || d.invalidEdgeLabel(id) {
+	for v := range graph.NodeID(d.g.N()) {
+		if d.dftnoViolates(v) {
 			return false
 		}
 	}
@@ -560,7 +456,7 @@ func (d *DFTNO) Legitimate() bool {
 // change the port-order DFS (a removed non-tree edge), by an O(n+m)
 // rebuild otherwise, counted in RefRebuilds. A rebuild that actually
 // changed the naming invalidates the witness counters (their clauses
-// compare η and Max against refNames/maxSub at every node), which
+// compare η and Max against the reference names at every node), which
 // lazily re-arm on the next legitimacy query. The returned ball adds
 // the touched set's closed neighbourhoods: all of DFTNO's own guards
 // read one hop, like the substrate's.
@@ -587,23 +483,10 @@ func (d *DFTNO) TopologyChanged(dlt graph.Delta, buf []graph.NodeID) []graph.Nod
 			d.pi[v] = append(d.pi[v], 0)
 		}
 	}
-	rebuild := true
-	if dlt.Kind == graph.EdgeRemoved {
-		// Removing a non-tree edge of the reference DFS keeps the
-		// traversal unchanged: parent(U)≠V and parent(V)≠U mean both
-		// endpoints were first reached around this edge, so the walk
-		// skipped its ports (far endpoint already visited) — exactly
-		// what it does for the holes they became.
-		if d.refParent[dlt.U] != dlt.V && d.refParent[dlt.V] != dlt.U {
-			rebuild = false
-		}
-	}
-	if rebuild {
+	if dlt.Kind != graph.EdgeRemoved || d.ref.TreeEdge(dlt.U, dlt.V) {
 		d.RefRebuilds++
 		d.roots.Moved() // the rebuild reads the current root set
-		if d.rebuildReference() {
-			d.wit.Invalidate()
-		}
+		d.rebuild()
 	}
 	for _, v := range dlt.Touched {
 		buf = program.InfluenceClosedNeighborhood(d.g, v, buf)

@@ -11,19 +11,21 @@ import (
 	"netorient/internal/failover"
 	"netorient/internal/graph"
 	"netorient/internal/program"
+	"netorient/internal/spantree"
 )
 
-// referenceOracle derives d's reference naming from scratch: one
+// referenceOracle derives d's reference forest from scratch: one
 // graph.DFSPreorder per live effective root in id order (the fixed root
-// alone when no authority is bound), each with fresh slices, and
-// maxSub from subtree sizes summed in reverse preorder. A root inside
-// an already-named component is skipped (counted in shared); nodes no
-// root reaches get name and maxSub −1 and parent None.
-func referenceOracle(d *DFTNO) (names, maxSub []int, parent []graph.NodeID, roots, shared int) {
+// alone when no authority is bound), each with fresh slices, ports from
+// graph.PortOf, and the last names from subtree sizes summed in reverse
+// preorder. A root inside an already-named component is skipped
+// (counted in shared); nodes no root reaches get name, last and port −1
+// and parent None.
+func referenceOracle(d *DFTNO) (names, last, port []int, parent []graph.NodeID, roots, shared int) {
 	n := d.g.N()
-	names, maxSub, parent = make([]int, n), make([]int, n), make([]graph.NodeID, n)
+	names, last, port, parent = make([]int, n), make([]int, n), make([]int, n), make([]graph.NodeID, n)
 	for v := range names {
-		names[v], maxSub[v], parent[v] = -1, -1, graph.None
+		names[v], last[v], port[v], parent[v] = -1, -1, -1, graph.None
 	}
 	size := make([]int, n)
 	run := func(root graph.NodeID) {
@@ -35,6 +37,9 @@ func referenceOracle(d *DFTNO) (names, maxSub []int, parent []graph.NodeID, root
 		order, par := graph.DFSPreorder(d.g, root)
 		for i, v := range order {
 			names[v], parent[v] = i, par[v]
+			if p := par[v]; p != graph.None {
+				port[v], _ = d.g.PortOf(p, v)
+			}
 		}
 		for i := len(order) - 1; i >= 0; i-- {
 			v := order[i]
@@ -44,7 +49,7 @@ func referenceOracle(d *DFTNO) (names, maxSub []int, parent []graph.NodeID, root
 			}
 		}
 		for _, v := range order {
-			maxSub[v] = names[v] + size[v] - 1
+			last[v] = names[v] + size[v] - 1
 		}
 	}
 	for v := 0; v < n; v++ {
@@ -52,64 +57,89 @@ func referenceOracle(d *DFTNO) (names, maxSub []int, parent []graph.NodeID, root
 			run(id)
 		}
 	}
-	return names, maxSub, parent, roots, shared
+	return names, last, port, parent, roots, shared
 }
 
-// refChecker compares d's reference naming with referenceOracle.
+// refChecker compares d's reference forest with referenceOracle. prev
+// is a second forest grown at the last check, so rebuilding it replays
+// the rebuild from the state the last check saw.
 type refChecker struct {
 	t        *testing.T
 	d        *DFTNO
-	oldNames []int
-	oldMax   []int
+	prev     graph.Forest
+	prevN    int
 	checks   int
 	changes  int // checks whose naming differed from the one before
 	maxRoots int // most effective roots at one check
 	shared   int // checks with two effective roots in one component
 }
 
-// mark records the naming a later check compares against.
+// mark records the forest a later check compares against.
 func (c *refChecker) mark() {
-	c.oldNames, c.oldMax = slices.Clone(c.d.refNames), slices.Clone(c.d.maxSub)
+	c.prev.DFS(c.d.g, c.d.roots.AppendLive)
+	c.prevN = c.d.g.N()
 }
 
 // check brings the naming up to date with the authority (as every
-// legitimacy query does), requires refNames, maxSub and refParent to
-// equal the oracle's, then replays the rebuild from the naming held at
-// the last mark and requires its verdict to be exactly "the naming
-// changed since the mark". It re-marks at the end.
+// legitimacy query does) and requires d's forest to equal the oracle's.
+// It then replays the rebuild on the forest held since the last check
+// and requires its verdict to be exactly "the tree changed", and the
+// tree to change only with the naming, so that the verdict re-arms
+// DFTNO's witness no more often than a naming comparison would. The
+// replayed forest becomes the next check's mark.
 func (c *refChecker) check(what string) {
 	c.t.Helper()
 	d := c.d
 	d.ensureRef()
-	names, maxSub, parent, roots, shared := referenceOracle(d)
-	same := func(stage string) {
+	names, last, port, parent, roots, shared := referenceOracle(d)
+	same := func(stage string, f *graph.Forest) {
 		c.t.Helper()
-		if !slices.Equal(d.refNames, names) {
-			c.t.Fatalf("%s (%s): refNames\n got %v\nwant %v", what, stage, d.refNames, names)
-		}
-		if !slices.Equal(d.maxSub, maxSub) {
-			c.t.Fatalf("%s (%s): maxSub\n got %v\nwant %v", what, stage, d.maxSub, maxSub)
-		}
-		if !slices.Equal(d.refParent, parent) {
-			c.t.Fatalf("%s (%s): refParent\n got %v\nwant %v", what, stage, d.refParent, parent)
+		for v := range graph.NodeID(d.g.N()) {
+			if f.Name(v) != names[v] || f.Last(v) != last[v] || f.Parent(v) != parent[v] || f.Reached(v) != (names[v] >= 0) {
+				c.t.Fatalf("%s (%s): node %d has name %d, last %d, parent %d, reached %v; want %d, %d, %d",
+					what, stage, v, f.Name(v), f.Last(v), f.Parent(v), f.Reached(v), names[v], last[v], parent[v])
+			}
+			if names[v] >= 0 && !f.IsPortPath(v, portPath(parent, port, v)) {
+				c.t.Fatalf("%s (%s): node %d is not at the end of its oracle port path", what, stage, v)
+			}
 		}
 	}
-	same("after the delta")
-	want := !slices.Equal(c.oldNames, names) || !slices.Equal(c.oldMax, maxSub)
-	d.refNames, d.maxSub = slices.Clone(c.oldNames), slices.Clone(c.oldMax)
-	if got := d.rebuildReference(); got != want {
-		c.t.Fatalf("%s: rebuild from the previous naming reported changed=%v, want %v", what, got, want)
+	same("after the delta", &d.ref)
+	renamed, regrown := false, false
+	for v := range graph.NodeID(d.g.N()) {
+		name, lst, par, onPath := -1, -1, graph.None, false // a new id starts unreached
+		if int(v) < c.prevN {
+			name, lst, par = c.prev.Name(v), c.prev.Last(v), c.prev.Parent(v)
+			onPath = c.prev.IsPortPath(v, portPath(parent, port, v))
+		}
+		renamed = renamed || name != names[v] || lst != last[v]
+		regrown = regrown || par != parent[v] || onPath != (names[v] >= 0)
 	}
-	same("replayed rebuild")
+	if regrown && !renamed {
+		c.t.Fatalf("%s: the tree changed but the naming did not", what)
+	}
+	if got := c.prev.DFS(d.g, d.roots.AppendLive); got != regrown {
+		c.t.Fatalf("%s: rebuild from the previous forest reported changed=%v, want %v", what, got, regrown)
+	}
+	c.prevN = d.g.N()
+	same("replayed rebuild", &c.prev)
 	c.checks++
-	if want {
+	if renamed {
 		c.changes++
 	}
 	c.maxRoots = max(c.maxRoots, roots)
 	if shared > 0 {
 		c.shared++
 	}
-	c.mark()
+}
+
+// portPath returns the oracle's ports from v's root down to v.
+func portPath(parent []graph.NodeID, port []int, v graph.NodeID) []int {
+	var path []int
+	for ; parent[v] != graph.None; v = parent[v] {
+		path = append([]int{port[v]}, path...)
+	}
+	return path
 }
 
 // TestReferenceRebuildMatchesOracle drives seeded random mutation
@@ -170,7 +200,7 @@ func referenceSequence(t *testing.T, wrapped bool, seed int64) {
 		case k == 1: // cut a tree edge of the reference DFS
 			var tree []graph.Edge
 			for _, e := range edges {
-				if d.refParent[e.U] == e.V || d.refParent[e.V] == e.U {
+				if d.ref.TreeEdge(e.U, e.V) {
 					tree = append(tree, e)
 				}
 			}
@@ -247,29 +277,11 @@ func referenceSequence(t *testing.T, wrapped bool, seed int64) {
 }
 
 // flapApplyAllocs returns the allocations System.ApplyDelta adds to a
-// flap of a tree edge of the reference DFS on a rows×cols grid, bare
-// or failover-wrapped: those of a removing and a restoring mutation
-// applied to the engine, minus those of the same graph mutations
-// alone. Both flaps rebuild the reference naming.
-func flapApplyAllocs(t *testing.T, rows, cols int, wrapped bool) float64 {
+// flap of the edge {u,v} on the engine driving proto over g: those of a
+// removing and a restoring mutation applied to the engine, minus those
+// of the same graph mutations alone.
+func flapApplyAllocs(t *testing.T, g *graph.Graph, proto program.Protocol, sys *program.System, u, v graph.NodeID) float64 {
 	t.Helper()
-	g := graph.Grid(rows, cols)
-	d := newDFTNOCirculator(t, g, 0)
-	var proto program.Protocol = d
-	if wrapped {
-		proto = failover.New(g, d, 0)
-	}
-	sys := program.NewSystem(proto, daemon.NewCentral(1))
-	if _, err := sys.RunUntil(func() bool { return false }, 200); err != nil {
-		t.Fatal(err)
-	}
-	if !proto.(program.Legitimacy).Legitimate() {
-		t.Fatal("not legitimate before the flap")
-	}
-	u, v := graph.NodeID(0), g.Neighbor(0, 0)
-	if d.refParent[v] != u {
-		t.Fatalf("{%d,%d} is not a tree edge of the reference DFS", u, v)
-	}
 	flap := func(apply bool) func() {
 		return func() {
 			dl, err := g.RemoveEdge(u, v)
@@ -287,12 +299,38 @@ func flapApplyAllocs(t *testing.T, rows, cols int, wrapped bool) float64 {
 			}
 		}
 	}
-	rebuilds := d.RefRebuilds
 	withEngine := testing.AllocsPerRun(50, flap(true))
-	if d.RefRebuilds-rebuilds != 2*51 {
-		t.Fatalf("%d reference rebuilds over 51 flaps, want 2 per flap", d.RefRebuilds-rebuilds)
-	}
 	return withEngine - testing.AllocsPerRun(50, flap(false))
+}
+
+// dftnoFlapAllocs returns flapApplyAllocs for a tree edge of the
+// reference DFS on a rows×cols grid, on bare or failover-wrapped
+// DFTNO, and checks that every flap rebuilt the reference naming twice.
+func dftnoFlapAllocs(t *testing.T, rows, cols int, wrapped bool) float64 {
+	t.Helper()
+	g := graph.Grid(rows, cols)
+	d := newDFTNOCirculator(t, g, 0)
+	var proto program.Protocol = d
+	if wrapped {
+		proto = failover.New(g, d, 0)
+	}
+	sys := program.NewSystem(proto, daemon.NewCentral(1))
+	if _, err := sys.RunUntil(func() bool { return false }, 200); err != nil {
+		t.Fatal(err)
+	}
+	if !proto.(program.Legitimacy).Legitimate() {
+		t.Fatal("not legitimate before the flap")
+	}
+	u, v := graph.NodeID(0), g.Neighbor(0, 0)
+	if d.ref.Parent(v) != u {
+		t.Fatalf("{%d,%d} is not a tree edge of the reference DFS", u, v)
+	}
+	rebuilds := d.RefRebuilds
+	a := flapApplyAllocs(t, g, proto, sys, u, v)
+	if d.RefRebuilds-rebuilds != 2*51 {
+		t.Fatalf("%d reference rebuilds over 51 engine flaps, want 2 per flap", d.RefRebuilds-rebuilds)
+	}
+	return a
 }
 
 // TestApplyDeltaTreeFlapAllocatesNothing gates the in-place reference
@@ -302,8 +340,45 @@ func flapApplyAllocs(t *testing.T, rows, cols int, wrapped bool) float64 {
 func TestApplyDeltaTreeFlapAllocatesNothing(t *testing.T) {
 	for _, wrapped := range []bool{false, true} {
 		for _, side := range []int{10, 32} {
-			if a := flapApplyAllocs(t, side, side, wrapped); a != 0 {
+			if a := dftnoFlapAllocs(t, side, side, wrapped); a != 0 {
 				t.Errorf("failover=%v grid:%dx%d: ApplyDelta allocates %v per tree-edge flap, want 0", wrapped, side, side, a)
+			}
+		}
+	}
+}
+
+// TestApplyDeltaSpanningTreeFlapAllocatesNothing gates the spanning
+// trees' reference forests the same way: after stabilization,
+// System.ApplyDelta of a flap of a tree edge allocates nothing on
+// BFSTree and DFSTree, on grid:10x10 and grid:32x32.
+func TestApplyDeltaSpanningTreeFlapAllocatesNothing(t *testing.T) {
+	for _, kind := range []string{"bfstree", "dfstree"} {
+		for _, side := range []int{10, 32} {
+			g := graph.Grid(side, side)
+			var tree interface {
+				program.Protocol
+				Parent(graph.NodeID) graph.NodeID
+			}
+			var err error
+			if kind == "bfstree" {
+				tree, err = spantree.NewBFSTree(g, 0)
+			} else {
+				tree, err = spantree.NewDFSTree(g, 0)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys := program.NewSystem(tree, daemon.NewCentral(1))
+			if res, err := sys.RunUntilLegitimate(1 << 24); err != nil || !res.Converged {
+				t.Fatalf("%s grid:%dx%d did not stabilize: %v", kind, side, side, err)
+			}
+			// A stabilized tree's parents are its reference forest's.
+			u, v := graph.NodeID(0), g.Neighbor(0, 0)
+			if tree.Parent(v) != u {
+				t.Fatalf("%s: {%d,%d} is not a tree edge", kind, u, v)
+			}
+			if a := flapApplyAllocs(t, g, tree, sys, u, v); a != 0 {
+				t.Errorf("%s grid:%dx%d: ApplyDelta allocates %v per tree-edge flap, want 0", kind, side, side, a)
 			}
 		}
 	}

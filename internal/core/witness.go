@@ -23,18 +23,19 @@ var (
 )
 
 // dftnoViolates is DFTNO's per-node clause of Legitimate(). Dead nodes
-// (topology churn) are outside the predicate; orphan nodes (refName
-// −1, unreachable from the root) carry only the SP2 clause. Deltas
-// that change reachability rebuild refNames and invalidate the
-// counter, so the orphan classification is never stale here.
+// (topology churn) are outside the predicate; orphan nodes (reference
+// name −1, unreachable from the root) carry only the SP2 clause.
+// Deltas that change reachability rebuild the reference forest and
+// invalidate the counter, so the orphan classification is never stale
+// here.
 func (d *DFTNO) dftnoViolates(v graph.NodeID) bool {
 	if !d.g.Alive(v) {
 		return false
 	}
-	if d.refNames[v] < 0 {
+	if d.ref.Name(v) < 0 {
 		return d.invalidEdgeLabel(v)
 	}
-	return d.eta[v] != d.refNames[v] || !d.positionOK(v) || d.invalidEdgeLabel(v)
+	return d.eta[v] != d.ref.Name(v) || !d.positionOK(v) || d.invalidEdgeLabel(v)
 }
 
 // WitnessReset implements program.Witness.

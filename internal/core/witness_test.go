@@ -164,7 +164,7 @@ func oldLegitimate(d *DFTNO, cycle map[string][]int) bool {
 		return false
 	}
 	for v := 0; v < d.g.N(); v++ {
-		if d.eta[v] != d.refNames[v] {
+		if d.eta[v] != d.ref.Name(graph.NodeID(v)) {
 			return false
 		}
 	}

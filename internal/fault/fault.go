@@ -172,57 +172,26 @@ func (c Churn) Run(t Target, root graph.NodeID) (Outcome, error) {
 		for b := 0; b < burst; b++ {
 			var restore func() error
 			var err error
-			switch {
-			case c.Kind == churn.NodeCrash && !specialDown:
-				if c.CrashRoot && g.Alive(root) {
+			if !specialDown && c.special() {
+				if c.Kind == churn.NodeCrash && c.CrashRoot && g.Alive(root) {
 					restore, err = churn.CrashDown(g, root, apply)
-					specialDown = true
-					break
+				} else {
+					restore, err = churn.TakeDown(g, root, c.Kind, c.AllowDisconnect, c.PartitionSize, rng, apply)
+					if errors.Is(err, churn.ErrNoCandidate) {
+						err = nil // falls back to a flap
+					}
 				}
-				pick := churn.PickCrashNode
-				if c.AllowDisconnect {
-					pick = churn.PickAnyNode
-				}
-				if v, ok := pick(g, root, rng); ok {
-					restore, err = churn.CrashDown(g, v, apply)
-					specialDown = true
-				}
-			case c.Kind == churn.IslandCrash && c.AllowDisconnect && !specialDown:
-				if v, ok := churn.PickCutVertex(g, root, rng); ok {
-					restore, err = churn.CrashDown(g, v, apply)
-					specialDown = true
-				}
-			case c.Kind == churn.BridgeCut && c.AllowDisconnect && !specialDown:
-				if u, v, ok := churn.PickBridgeEdge(g, rng); ok {
-					restore, err = churn.FlapDown(g, u, v, apply)
-					specialDown = true
-				}
-			case c.Kind == churn.Partition && c.AllowDisconnect && !specialDown:
-				size := c.PartitionSize
-				if size <= 0 {
-					size = g.NAlive() / 4
-				}
-				if size < 1 {
-					size = 1
-				}
-				if cut, ok := churn.PickPartitionCut(g, root, size, rng); ok {
-					restore, err = churn.CutDown(g, cut, apply)
-					specialDown = true
-				}
+				specialDown = restore != nil
 			}
 			if err != nil {
 				return out, err
 			}
 			if restore == nil {
-				pickFlap := churn.PickFlapEdge
-				if c.AllowDisconnect {
-					pickFlap = churn.PickAnyEdge
-				}
-				u, v, ok := pickFlap(g, rng)
-				if !ok {
+				restore, err = churn.TakeDown(g, root, churn.EdgeFlap, c.AllowDisconnect, 0, rng, apply)
+				if errors.Is(err, churn.ErrNoCandidate) {
 					break // tree-like remnant: nothing else can flap
 				}
-				if restore, err = churn.FlapDown(g, u, v, apply); err != nil {
+				if err != nil {
 					return out, err
 				}
 			}
@@ -268,6 +237,19 @@ func (c Churn) Run(t Target, root graph.NodeID) (Outcome, error) {
 		out.RecoveryRounds = append(out.RecoveryRounds, res.Rounds)
 	}
 	return out, nil
+}
+
+// special reports whether c.Kind takes a special element down once per
+// trial: a node crash, or with AllowDisconnect a disconnecting kind.
+// Every other take-down, and one whose picker finds nothing, is a flap.
+func (c Churn) special() bool {
+	switch c.Kind {
+	case churn.NodeCrash:
+		return true
+	case churn.BridgeCut, churn.IslandCrash, churn.Partition:
+		return c.AllowDisconnect
+	}
+	return false
 }
 
 // corruptionTargets selects the processors a churn trial corrupts,

@@ -504,8 +504,8 @@ func Named(spec string) (*Graph, error) {
 		}
 		return Caterpillar(a, b2), nil
 	case scan(spec, "lollipop:%d:%d", &a, &b2):
-		if b2 < 0 {
-			return nil, fmt.Errorf("graph: lollipop tail must be ≥ 0, got %d", b2)
+		if a < 1 || b2 < 0 {
+			return nil, fmt.Errorf("graph: lollipop needs a clique of ≥ 1 node and a tail of ≥ 0, got %d and %d", a, b2)
 		}
 		if err := sz("lollipop", int64(a)+int64(b2), int64(a)*int64(a-1)/2+int64(b2), 1); err != nil {
 			return nil, err

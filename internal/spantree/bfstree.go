@@ -15,6 +15,14 @@ import (
 // as its parent. The protocol is silent and self-stabilizing under the
 // unfair distributed daemon: distances converge level by level to the
 // true BFS distances, after which no action is enabled.
+//
+// The legitimacy predicate compares the distances with a reference
+// forest, the multi-source BFS from the live roots: a node's reference
+// distance is its depth there, or the "infinite" value n when no root
+// reaches it. The forest is re-derived when the root set moves (an
+// IsRoot flip re-anchors distances without touching any node) and
+// after every topology delta but the removal of a non-tree edge, which
+// cannot change it.
 type BFSTree struct {
 	g     *graph.Graph
 	roots program.Roots
@@ -22,11 +30,7 @@ type BFSTree struct {
 	dist []int
 	par  []graph.NodeID
 
-	// wantDist caches the true BFS distances for the legitimacy
-	// predicate: multi-source from every live root, re-derived when the
-	// root set moves (an IsRoot flip re-anchors distances without
-	// touching any node).
-	wantDist []int
+	ref graph.Forest
 
 	// wit is the incremental legitimacy witness (see witness.go).
 	wit program.ViolationCounter
@@ -66,64 +70,23 @@ func NewBFSTree(g *graph.Graph, root graph.NodeID) (*BFSTree, error) {
 		t.dist[v] = g.N()
 		t.par[v] = graph.None
 	}
-	t.wantDist = t.computeWant()
+	t.ref.BFS(g, t.roots.AppendLive)
 	return t, nil
 }
 
-// computeWant returns the reference distances the legitimacy predicate
-// compares against: the multi-source BFS from every live root.
-// Unreachable nodes get the "infinite" value n — the locally detectable
-// orphan state.
-func (t *BFSTree) computeWant() []int {
-	n := t.g.N()
-	want := make([]int, n)
-	for v := range want {
-		want[v] = -1
-	}
-	queue := t.roots.AppendLive(make([]graph.NodeID, 0, n))
-	for _, r := range queue {
-		want[r] = 0
-	}
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		for _, q := range t.g.Neighbors(u) {
-			if q != graph.None && want[q] < 0 {
-				want[q] = want[u] + 1
-				queue = append(queue, q)
-			}
-		}
-	}
-	for v := range want {
-		if want[v] < 0 {
-			want[v] = n
-		}
-	}
-	return want
-}
-
-// setWant installs freshly computed reference distances, invalidating
-// the witness when they actually changed.
-func (t *BFSTree) setWant(want []int) {
-	changed := len(want) != len(t.wantDist)
-	if !changed {
-		for v := range want {
-			if want[v] != t.wantDist[v] {
-				changed = true
-				break
-			}
-		}
-	}
-	t.wantDist = want
-	if changed {
+// rebuild regrows the reference forest from the live roots,
+// invalidating the witness when a reference distance changed.
+func (t *BFSTree) rebuild() {
+	if t.ref.BFS(t.g, t.roots.AppendLive) {
 		t.wit.Invalidate()
 	}
 }
 
-// ensureWant lazily recomputes the reference distances when the root
-// set moved since they were computed.
-func (t *BFSTree) ensureWant() {
+// ensureRef regrows the reference forest when the root set moved since
+// it was grown.
+func (t *BFSTree) ensureRef() {
 	if t.roots.Moved() {
-		t.setWant(t.computeWant())
+		t.rebuild()
 	}
 }
 
@@ -134,7 +97,7 @@ func (t *BFSTree) ensureWant() {
 // tree at the fixed root alone.
 func (t *BFSTree) BindRootAuthority(a program.RootAuthority) {
 	t.roots.Bind(a)
-	t.setWant(t.computeWant())
+	t.rebuild()
 }
 
 // Name implements program.Protocol.
@@ -225,22 +188,18 @@ func (t *BFSTree) ActionName(a program.ActionID) string { return "FixDist" }
 func (t *BFSTree) Stable() bool { return t.Legitimate() }
 
 // Legitimate implements program.Legitimacy: every live node holds the
-// true BFS distance and the first minimal neighbour as parent. On a
-// disconnected graph the true distance of a node whose component lost
-// the root is the "infinite" value n with no parent — any smaller
-// value strictly increases under desired, so the orphan fixpoint is
-// all-n: a locally detectable orphan state. The reference is the
-// multi-source BFS from the root set, so under a bound authority a
-// component with an acting root converges to *local* legitimacy
-// instead of the degraded all-n fixpoint.
+// true BFS distance and the first minimal neighbour as parent (see
+// bfsViolates). On a disconnected graph the true distance of a node
+// whose component lost the root is the "infinite" value n with no
+// parent — any smaller value strictly increases under desired, so the
+// orphan fixpoint is all-n: a locally detectable orphan state. The
+// reference is the multi-source BFS from the root set, so under a
+// bound authority a component with an acting root converges to
+// *local* legitimacy instead of the degraded all-n fixpoint.
 func (t *BFSTree) Legitimate() bool {
-	t.ensureWant()
-	for v := 0; v < t.g.N(); v++ {
-		if !t.g.Alive(graph.NodeID(v)) {
-			continue
-		}
-		d, p := t.desired(graph.NodeID(v))
-		if t.dist[v] != d || t.par[v] != p || t.dist[v] != t.wantDist[v] {
+	t.ensureRef()
+	for v := range graph.NodeID(t.g.N()) {
+		if t.bfsViolates(v) {
 			return false
 		}
 	}
@@ -249,12 +208,13 @@ func (t *BFSTree) Legitimate() bool {
 
 // TopologyChanged implements program.TopologyAware: clamp parents that
 // stopped being neighbours and out-of-range distances at the touched
-// nodes, and recompute the reference BFS distances the legitimacy
-// predicate compares against (O(n+m) — the distances are a global
-// derived fact; the guards themselves stay 1-hop local, so the
-// returned influence ball is the touched set's closed neighbourhoods).
-// When the reference distances actually changed, the witness counters
-// built on them are invalidated and lazily re-arm.
+// nodes, and regrow the reference forest the legitimacy predicate
+// compares against (O(n+m) — the distances are a global derived fact;
+// the guards themselves stay 1-hop local, so the returned influence
+// ball is the touched set's closed neighbourhoods), unless the delta
+// removed a non-tree edge. When the reference distances actually
+// changed, the witness counters built on them are invalidated and
+// lazily re-arm.
 func (t *BFSTree) TopologyChanged(d graph.Delta, buf []graph.NodeID) []graph.NodeID {
 	if n := t.g.N(); len(t.dist) < n {
 		for len(t.dist) < n {
@@ -266,8 +226,10 @@ func (t *BFSTree) TopologyChanged(d graph.Delta, buf []graph.NodeID) []graph.Nod
 	for _, v := range d.Touched {
 		t.clamp(v)
 	}
-	t.roots.Moved() // the rebuild reads the current root set
-	t.setWant(t.computeWant())
+	if d.Kind != graph.EdgeRemoved || t.ref.TreeEdge(d.U, d.V) {
+		t.roots.Moved() // the rebuild reads the current root set
+		t.rebuild()
+	}
 	for _, v := range d.Touched {
 		buf = program.InfluenceClosedNeighborhood(t.g, v, buf)
 	}

@@ -21,6 +21,13 @@ import (
 // repeatedly recomputes the minimum over its neighbours' paths
 // extended by one hop; paths longer than n−1 hops are invalid (⊥).
 // It is silent and self-stabilizing under the unfair daemon.
+//
+// The legitimacy predicate compares each path with the reference
+// forest, the port-order DFS from the live roots: a node's true minimal
+// path is the port sequence of its tree path there, read back along the
+// forest's parent chain, and ⊥ when no root reaches it. The forest is
+// re-derived when the root set moves and after every topology delta but
+// the removal of a non-tree edge, which cannot change it.
 type DFSTree struct {
 	g     *graph.Graph
 	roots program.Roots
@@ -28,10 +35,7 @@ type DFSTree struct {
 	// path[v] is v's current port-path; nil means ⊥ (invalid).
 	path [][]int
 
-	// want caches the true minimal paths for the legitimacy predicate:
-	// one reference traversal per live root, re-derived lazily when the
-	// root set moves.
-	want [][]int
+	ref graph.Forest
 
 	// wit is the incremental legitimacy witness (see witness.go).
 	wit program.ViolationCounter
@@ -62,66 +66,23 @@ func NewDFSTree(g *graph.Graph, root graph.NodeID) (*DFSTree, error) {
 		roots: program.NewRoots(g, root),
 		path:  make([][]int, g.N()),
 	}
-	t.want = t.computeWant()
+	t.ref.DFS(g, t.roots.AppendLive)
 	return t, nil
 }
 
-// computeWant returns the true lexicographically-minimal port paths by
-// simulating the deterministic DFS traversal from every live root: the
-// first path the traversal reaches a node by is its minimal path.
-// Components are disjoint, so the traversals never collide; a transient
-// multi-root component keeps only the first root's paths and therefore
-// never reads legitimate, matching the failover contract.
-func (t *DFSTree) computeWant() [][]int {
-	want := make([][]int, t.g.N())
-	visited := make([]bool, t.g.N())
-	var visit func(v graph.NodeID)
-	visit = func(v graph.NodeID) {
-		for port, q := range t.g.Neighbors(v) {
-			if q == graph.None || visited[q] {
-				continue
-			}
-			visited[q] = true
-			p := make([]int, len(want[v])+1)
-			copy(p, want[v])
-			p[len(p)-1] = port
-			want[q] = p
-			visit(q)
-		}
-	}
-	for _, r := range t.roots.AppendLive(nil) {
-		if !visited[r] {
-			visited[r] = true
-			want[r] = []int{}
-			visit(r)
-		}
-	}
-	return want
-}
-
-// setWant installs freshly computed reference paths, invalidating the
-// witness when they actually changed.
-func (t *DFSTree) setWant(want [][]int) {
-	changed := len(want) != len(t.want)
-	if !changed {
-		for v := range want {
-			if !pathEqual(want[v], t.want[v]) {
-				changed = true
-				break
-			}
-		}
-	}
-	t.want = want
-	if changed {
+// rebuild regrows the reference forest from the live roots,
+// invalidating the witness when a reference path changed.
+func (t *DFSTree) rebuild() {
+	if t.ref.DFS(t.g, t.roots.AppendLive) {
 		t.wit.Invalidate()
 	}
 }
 
-// ensureWant lazily recomputes the reference paths when the root set
-// moved since they were computed.
-func (t *DFSTree) ensureWant() {
+// ensureRef regrows the reference forest when the root set moved since
+// it was grown.
+func (t *DFSTree) ensureRef() {
 	if t.roots.Moved() {
-		t.setWant(t.computeWant())
+		t.rebuild()
 	}
 }
 
@@ -131,24 +92,25 @@ func (t *DFSTree) ensureWant() {
 // tree at the fixed root alone.
 func (t *DFSTree) BindRootAuthority(a program.RootAuthority) {
 	t.roots.Bind(a)
-	t.setWant(t.computeWant())
+	t.rebuild()
 }
 
-// lexLess compares two paths; nil (⊥) is greater than everything, and
-// a proper prefix is smaller than its extensions.
-func lexLess(a, b []int) bool {
-	if a == nil {
-		return false
-	}
-	if b == nil {
-		return true
-	}
-	for i := 0; i < len(a) && i < len(b); i++ {
+// extLess reports whether a++[x] precedes b++[y] in the path order:
+// element-wise on ports, a proper prefix before its extensions.
+func extLess(a []int, x int, b []int, y int) bool {
+	m := min(len(a), len(b))
+	for i := range m {
 		if a[i] != b[i] {
 			return a[i] < b[i]
 		}
 	}
-	return len(a) < len(b)
+	switch {
+	case len(a) < len(b): // a++[x] against b[:m+1]; equal means a proper prefix
+		return x <= b[m]
+	case len(a) > len(b):
+		return a[m] < y
+	}
+	return x < y
 }
 
 func pathEqual(a, b []int) bool {
@@ -163,51 +125,71 @@ func pathEqual(a, b []int) bool {
 	return true
 }
 
-// desired returns the path v's action would write: the root writes the
-// empty path; every other node writes the minimal one-hop extension of
-// a neighbour's path, or ⊥ when every candidate is ⊥ or too long.
-func (t *DFSTree) desired(v graph.NodeID) []int {
+// desired returns the path v's action would write, as the neighbour q
+// and the port p at q whose extension path[q]++[p] it is: the root
+// writes the empty path (q = None, root = true); every other node
+// writes the minimal one-hop extension of a neighbour's path, or ⊥ (q
+// = None) when every candidate is ⊥ or too long. Nothing is built:
+// candidates are compared in place.
+func (t *DFSTree) desired(v graph.NodeID) (q graph.NodeID, p int, root bool) {
 	if t.roots.IsRoot(v) {
-		return []int{}
+		return graph.None, 0, true
 	}
-	var best []int
-	for _, q := range t.g.Neighbors(v) {
-		if q == graph.None {
+	q = graph.None
+	for _, w := range t.g.Neighbors(v) {
+		if w == graph.None {
 			continue
 		}
-		pq := t.path[q]
-		if pq == nil || len(pq)+1 > t.g.N()-1 {
+		pw := t.path[w]
+		if pw == nil || len(pw)+1 > t.g.N()-1 {
 			continue
 		}
-		port, _ := t.g.PortOf(q, v)
-		cand := make([]int, len(pq)+1)
-		copy(cand, pq)
-		cand[len(cand)-1] = port
-		if lexLess(cand, best) {
-			best = cand
+		port, _ := t.g.PortOf(w, v)
+		if q == graph.None || extLess(pw, port, t.path[q], p) {
+			q, p = w, port
 		}
 	}
-	return best
+	return q, p, false
+}
+
+// holds reports whether path[v] already is the path desired(v)
+// returned as (q, p, root).
+func (t *DFSTree) holds(v, q graph.NodeID, p int, root bool) bool {
+	pv := t.path[v]
+	switch {
+	case root:
+		return pv != nil && len(pv) == 0
+	case q == graph.None:
+		return pv == nil
+	}
+	pq := t.path[q]
+	return len(pv) == len(pq)+1 && pv[len(pq)] == p && pathEqual(pv[:len(pq)], pq)
 }
 
 // Enabled implements program.Protocol.
 func (t *DFSTree) Enabled(v graph.NodeID, buf []program.ActionID) []program.ActionID {
-	if !pathEqual(t.path[v], t.desired(v)) {
+	if q, p, root := t.desired(v); !t.holds(v, q, p, root) {
 		buf = append(buf, ActFix)
 	}
 	return buf
 }
 
-// Execute implements program.Protocol.
+// Execute implements program.Protocol: the one place a path is built.
 func (t *DFSTree) Execute(v graph.NodeID, a program.ActionID) bool {
 	if a != ActFix {
 		return false
 	}
-	d := t.desired(v)
-	if pathEqual(t.path[v], d) {
+	q, p, root := t.desired(v)
+	switch {
+	case t.holds(v, q, p, root):
 		return false
+	case root:
+		t.path[v] = []int{}
+	case q == graph.None:
+		t.path[v] = nil
+	default:
+		t.path[v] = append(append(make([]int, 0, len(t.path[q])+1), t.path[q]...), p)
 	}
-	t.path[v] = d
 	return true
 }
 
@@ -270,14 +252,11 @@ func (t *DFSTree) Path(v graph.NodeID) []int { return t.path[v] }
 func (t *DFSTree) Stable() bool { return t.Legitimate() }
 
 // Legitimate implements program.Legitimacy: every live node holds the
-// true minimal path from its component's root.
+// true minimal path from its component's root (see dfsViolates).
 func (t *DFSTree) Legitimate() bool {
-	t.ensureWant()
-	for v := 0; v < t.g.N(); v++ {
-		if !t.g.Alive(graph.NodeID(v)) {
-			continue
-		}
-		if !pathEqual(t.path[v], t.want[v]) {
+	t.ensureRef()
+	for v := range graph.NodeID(t.g.N()) {
+		if t.dfsViolates(v) {
 			return false
 		}
 	}
@@ -287,20 +266,22 @@ func (t *DFSTree) Legitimate() bool {
 // TopologyChanged implements program.TopologyAware. The per-node state
 // is a port-path compared by value, so nothing can dangle — desired()
 // recomputes against the current adjacency and hole ports are skipped
-// — and rebinding is only recomputing the reference minimal paths the
+// — and rebinding is only regrowing the reference forest the
 // legitimacy predicate compares against (invalidating the witness when
-// they changed). Guards read one hop, so the influence ball is the
-// touched set's closed neighbourhoods. Note the *derived* Parent
-// function still reads ParentLocality() hops; layers over this
-// substrate widen their own balls accordingly, exactly as they do for
-// moves.
+// a reference path changed), unless the delta removed a non-tree edge.
+// Guards read one hop, so the influence ball is the touched set's
+// closed neighbourhoods. Note the *derived* Parent function still reads
+// ParentLocality() hops; layers over this substrate widen their own
+// balls accordingly, exactly as they do for moves.
 func (t *DFSTree) TopologyChanged(d graph.Delta, buf []graph.NodeID) []graph.NodeID {
 	if n := t.g.N(); len(t.path) < n {
 		t.path = append(t.path, make([][]int, n-len(t.path))...)
 		t.wit.Invalidate()
 	}
-	t.roots.Moved() // the rebuild reads the current root set
-	t.setWant(t.computeWant())
+	if d.Kind != graph.EdgeRemoved || t.ref.TreeEdge(d.U, d.V) {
+		t.roots.Moved() // the rebuild reads the current root set
+		t.rebuild()
+	}
 	for _, v := range d.Touched {
 		buf = program.InfluenceClosedNeighborhood(t.g, v, buf)
 	}

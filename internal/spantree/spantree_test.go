@@ -2,6 +2,7 @@ package spantree
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"netorient/internal/check"
@@ -203,24 +204,42 @@ func TestDFSTreeModelCheck(t *testing.T) {
 }
 
 func TestDFSTreeLexLess(t *testing.T) {
+	// extLess(a, x, b, y) orders the extensions a++[x] and b++[y]
+	// element-wise, a proper prefix first: slices.Compare's order.
 	cases := []struct {
-		a, b []int
+		a    []int
+		x    int
+		b    []int
+		y    int
 		want bool
 	}{
-		{[]int{0}, []int{1}, true},
-		{[]int{1}, []int{0}, false},
-		{[]int{0, 5}, []int{1}, true},
-		{[]int{0}, []int{0, 1}, true},  // prefix smaller
-		{[]int{0, 1}, []int{0}, false}, // extension larger
-		{nil, []int{9, 9, 9}, false},   // ⊥ greatest
-		{[]int{9, 9, 9}, nil, true},
-		{nil, nil, false},
-		{[]int{}, []int{0}, true}, // root path smallest
-		{[]int{2, 3}, []int{2, 3}, false},
+		{nil, 0, nil, 1, true},
+		{nil, 1, nil, 0, false},
+		{[]int{0}, 5, nil, 1, true},
+		{nil, 0, []int{0}, 1, true},  // prefix smaller
+		{[]int{0}, 1, nil, 0, false}, // extension larger
+		{[]int{}, 0, []int{0}, 0, true},
+		{[]int{2}, 3, []int{2}, 3, false},
+		{[]int{1, 2}, 9, []int{1, 3}, 0, true},
 	}
 	for i, c := range cases {
-		if got := lexLess(c.a, c.b); got != c.want {
-			t.Errorf("case %d: lexLess(%v,%v) = %v, want %v", i, c.a, c.b, got, c.want)
+		if got := extLess(c.a, c.x, c.b, c.y); got != c.want {
+			t.Errorf("case %d: extLess(%v,%d,%v,%d) = %v, want %v", i, c.a, c.x, c.b, c.y, got, c.want)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	draw := func() []int {
+		p := make([]int, rng.Intn(4))
+		for i := range p {
+			p[i] = rng.Intn(3)
+		}
+		return p
+	}
+	for i := 0; i < 5000; i++ {
+		a, x, b, y := draw(), rng.Intn(3), draw(), rng.Intn(3)
+		want := slices.Compare(append(slices.Clone(a), x), append(slices.Clone(b), y)) < 0
+		if got := extLess(a, x, b, y); got != want {
+			t.Fatalf("extLess(%v,%d,%v,%d) = %v, want %v", a, x, b, y, got, want)
 		}
 	}
 }
@@ -270,5 +289,31 @@ func TestChildrenAreInPortOrder(t *testing.T) {
 		if q != g.Neighbor(0, i) {
 			t.Errorf("child %d = %d, want port order %d", i, q, g.Neighbor(0, i))
 		}
+	}
+}
+
+// TestDFSTreeEnabledAllocatesNothing gates DFSTree's guards: a full
+// Enabled scan of a randomized grid:16x16 compares every candidate
+// extension in place and allocates nothing; only Execute builds a path.
+func TestDFSTreeEnabledAllocatesNothing(t *testing.T) {
+	g := graph.Grid(16, 16)
+	tr, err := NewDFSTree(g, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Randomize(rand.New(rand.NewSource(1)))
+	buf := make([]program.ActionID, 0, 1)
+	enabled := 0
+	scan := func() {
+		enabled = 0
+		for v := range graph.NodeID(g.N()) {
+			enabled += len(tr.Enabled(v, buf[:0]))
+		}
+	}
+	if a := testing.AllocsPerRun(20, scan); a != 0 {
+		t.Errorf("a full Enabled scan allocates %v, want 0", a)
+	}
+	if enabled == 0 {
+		t.Fatal("no guard is enabled on a randomized configuration")
 	}
 }

@@ -21,14 +21,19 @@ var (
 )
 
 // bfsViolates is BFSTree's Legitimate() clause at v: the action is
-// enabled, or the distance disagrees with the true BFS distance. Dead
-// nodes (topology churn) are outside the predicate.
+// enabled, or the distance disagrees with the reference distance (n
+// when no root reaches v). Dead nodes (topology churn) are outside the
+// predicate.
 func (t *BFSTree) bfsViolates(v graph.NodeID) bool {
 	if !t.g.Alive(v) {
 		return false
 	}
+	want := t.ref.Depth(v)
+	if want < 0 {
+		want = t.g.N()
+	}
 	d, p := t.desired(v)
-	return t.dist[v] != d || t.par[v] != p || t.dist[v] != t.wantDist[v]
+	return t.dist[v] != d || t.par[v] != p || t.dist[v] != want
 }
 
 // WitnessReset implements program.Witness.
@@ -41,11 +46,11 @@ func (t *BFSTree) WitnessRefresh(v graph.NodeID) {
 	}
 }
 
-// WitnessLegitimate implements program.Witness. ensureWant first: a
+// WitnessLegitimate implements program.Witness. ensureRef first: a
 // root-set change re-anchors the reference distances without touching
 // any node, invalidating the counters.
 func (t *BFSTree) WitnessLegitimate() bool {
-	t.ensureWant()
+	t.ensureRef()
 	if !t.wit.Valid() {
 		t.WitnessReset()
 	}
@@ -53,13 +58,17 @@ func (t *BFSTree) WitnessLegitimate() bool {
 }
 
 // dfsViolates is DFSTree's Legitimate() clause at v: the path differs
-// from the true minimal path. It reads only v's own variable. Dead
-// nodes are outside the predicate.
+// from the true minimal path, the port path from v's root in the
+// reference forest (⊥ when no root reaches v). It reads only v's own
+// variable. Dead nodes are outside the predicate.
 func (t *DFSTree) dfsViolates(v graph.NodeID) bool {
 	if !t.g.Alive(v) {
 		return false
 	}
-	return !pathEqual(t.path[v], t.want[v])
+	if p := t.path[v]; p != nil {
+		return !t.ref.IsPortPath(v, p)
+	}
+	return t.ref.Reached(v)
 }
 
 // WitnessReset implements program.Witness.
@@ -72,10 +81,10 @@ func (t *DFSTree) WitnessRefresh(v graph.NodeID) {
 	}
 }
 
-// WitnessLegitimate implements program.Witness; ensureWant as for the
+// WitnessLegitimate implements program.Witness; ensureRef as for the
 // BFS tree.
 func (t *DFSTree) WitnessLegitimate() bool {
-	t.ensureWant()
+	t.ensureRef()
 	if !t.wit.Valid() {
 		t.WitnessReset()
 	}

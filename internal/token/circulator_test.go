@@ -298,3 +298,29 @@ func TestCirculatorHasTokenUniqueWhenLegitimate(t *testing.T) {
 		}
 	}
 }
+
+// TestWitnessResetReleasesGrownTable: a witness reset reuses its bucket
+// table, but a table that a randomized start grew far past what a reset
+// of the stabilized system fills is made afresh, so the start's buckets
+// are not kept for good.
+func TestWitnessResetReleasesGrownTable(t *testing.T) {
+	g := graph.Grid(16, 16)
+	c, err := NewCirculator(g, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Randomize(rand.New(rand.NewSource(1)))
+	c.WitnessReset()
+	if c.wit.peak < g.N()/4 {
+		t.Fatalf("a randomized start fills %d buckets, want at least %d", c.wit.peak, g.N()/4)
+	}
+	sys := program.NewSystem(c, daemon.NewCentral(1))
+	if res, err := sys.RunUntilLegitimate(1 << 22); err != nil || !res.Converged {
+		t.Fatalf("did not stabilize: %v", err)
+	}
+	c.WitnessReset()
+	c.WitnessReset()
+	if c.wit.peak != c.wit.fill || c.wit.fill > 2 {
+		t.Fatalf("after stabilization the table peaked at %d entries with %d filled, want the at most 2 a reset fills", c.wit.peak, c.wit.fill)
+	}
+}

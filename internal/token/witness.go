@@ -80,6 +80,8 @@ import (
 type circWitness struct {
 	valid      bool
 	tab        map[witKey]witCounters
+	peak       int          // most entries tab has held since it was made
+	fill       int          // entries the last reset put in tab
 	node       []witContrib // cached contribution, for O(1) retraction
 	orphanLoud int          // orphan nodes with an enabled action
 	shared     int          // components owning several roots
@@ -213,6 +215,7 @@ func (c *Circulator) witApply(w witContrib, dir int) {
 		delete(c.wit.tab, key) // keep the table at O(live rounds), not O(history)
 	} else {
 		c.wit.tab[key] = k
+		c.wit.peak = max(c.wit.peak, len(c.wit.tab))
 	}
 }
 
@@ -224,9 +227,15 @@ func (c *Circulator) WitnessReset() {
 	if len(c.wit.node) < c.g.N() {
 		c.wit.node = make([]witContrib, c.g.N())
 	}
-	if c.wit.tab == nil || len(c.wit.tab) > 0 {
+	// A reset reuses the table: clearing a map keeps its buckets. So
+	// that one randomized start does not pin a bucket per node for good,
+	// a table that once held far more entries than the last reset put in
+	// it is made afresh.
+	if c.wit.tab == nil || c.wit.peak > 2*c.wit.fill+8 {
 		c.wit.tab = make(map[witKey]witCounters, 4)
+		c.wit.peak = 0
 	}
+	clear(c.wit.tab)
 	c.wit.orphanLoud = 0
 	c.wit.compVer = c.g.CompVersion()
 	c.roots.Moved() // the reset reads the current root set
@@ -236,6 +245,7 @@ func (c *Circulator) WitnessReset() {
 		c.wit.node[v] = w
 		c.witApply(w, 1)
 	}
+	c.wit.fill = len(c.wit.tab)
 	c.wit.valid = true
 }
 
