@@ -44,8 +44,12 @@
 //     the guard cache uses) that decides L_P in O(1) instead of an
 //     O(n) Legitimate() scan per step. All five protocol stacks — the
 //     token circulator, both spanning trees, DFTNO and STNO — ship
-//     witnesses; layers conjoin their own counters with their
-//     substrate's verdict. program.CheckWitness audits every witness
+//     witnesses. A layered stack (DFTNO, STNO, the failover wrapper)
+//     embeds one program.Layer, the one composition rule: it keeps the
+//     layer's violation counter over the layer's own per-node clause
+//     and conjoins it with the inner stack's verdict, as it composes
+//     guards, statements, snapshots, corruption and topology repair.
+//     program.CheckWitness audits every witness
 //     against its O(n) predicate on random executions. DFTNO's
 //     legitimacy itself is a recomputable cycle invariant (Max values
 //     determined by the traversal position exposed through the token
@@ -241,8 +245,8 @@
 //     is the fixed root, or an orphaned self-elected winner — and the
 //     inner stack re-anchors at the acting roots: the circulator
 //     circulates per component, trees re-root, DFTNO renames, STNO
-//     re-weighs. Per-component legitimacy under acting roots is
-//     ActingLegitimate, decided O(1) by the wrapper's witness
+//     re-weighs. Per-component legitimacy under acting roots is the
+//     wrapper's Legitimate, decided O(1) by the wrapper's witness
 //     conjoined with the inner stack's (witness ≡ scan is a soak
 //     invariant at every settle point).
 //   - Abdicate: a heal reconnects the orphan component, distances
@@ -346,9 +350,10 @@
 // configuration by its program.Snapshotter bytes. Every stack writes
 // those bytes through one codec (program.SnapshotWriter and
 // SnapshotReader in internal/program/snapshot.go): a fixed field list
-// of varint integers and one-byte booleans, and a composed layer
-// (DFTNO, STNO, the failover wrapper) writes its inner stack's
-// snapshot first as one length-prefixed field. Snapshots are
+// of varint integers and one-byte booleans. A composed stack (DFTNO,
+// STNO, the failover wrapper) writes through its program.Layer: the
+// inner stack's snapshot first as one length-prefixed field, then the
+// layer's own fields. Snapshots are
 // canonical and injective, so equal configurations are equal states
 // and the checker's state counts do not depend on the encoding;
 // Restore rejects truncated input, trailing bytes and layer bytes it

@@ -105,7 +105,7 @@ func TestSTNOComposedNeedsFairComposition(t *testing.T) {
 	if res.Converged {
 		t.Skip("this corruption healed; the livelock needs a substrate parent cycle")
 	}
-	if sub.Stable() {
+	if sub.Legitimate() {
 		t.Fatal("substrate stabilized yet orientation did not — unexpected livelock cause")
 	}
 }

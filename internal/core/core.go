@@ -18,5 +18,8 @@
 // Both establish the specification SP_NO of §2.3 — SP1 (globally
 // unique names η_p ∈ 0..N−1) and SP2 (π_p[(p,q)] = (η_p − η_q) mod N)
 // — i.e. a chordal sense of direction, and both occupy O(Δ·log N) bits
-// per node beyond their substrate.
+// per node beyond their substrate. Both hold that state (η, π and N) in
+// one orientation type and embed a program.Layer, which composes their
+// own actions, clauses, snapshot fields and corruption draws with the
+// substrate's.
 package core

@@ -7,7 +7,6 @@ import (
 
 	"netorient/internal/graph"
 	"netorient/internal/program"
-	"netorient/internal/sod"
 	"netorient/internal/token"
 )
 
@@ -37,16 +36,16 @@ const ActEdgeLabel program.ActionID = 1 << 20
 //
 // Per-node state beyond the substrate: η (name), Max (largest name the
 // node is aware of) and π (one label per incident edge) — 2·⌈log₂N⌉ +
-// Δ_p·⌈log₂N⌉ bits, the paper's O(Δ×log N).
+// Δ_p·⌈log₂N⌉ bits, the paper's O(Δ×log N). The embedded Layer
+// composes it with the substrate; its witness counter runs over
+// OwnViolates.
 type DFTNO struct {
-	g       *graph.Graph
-	sub     TokenSubstrate
-	modulus int
-	roots   program.Roots // where the reference naming is anchored, and its staleness key
+	program.Layer
+	orientation // η, π and N
 
-	eta []int
-	max []int
-	pi  [][]int
+	sub   TokenSubstrate
+	roots program.Roots // where the reference naming is anchored, and its staleness key
+	max   []int
 
 	// ref is the reference forest: the port-order DFS from the live
 	// roots, whose preorder is exactly the order the legitimate
@@ -65,17 +64,8 @@ type DFTNO struct {
 	ref graph.Forest
 
 	// RefRebuilds counts O(n+m) reference-naming rebuilds triggered
-	// by topology deltas (see TopologyChanged).
+	// by topology deltas and root-set moves (see OwnRepair, OwnFresh).
 	RefRebuilds int64
-
-	// wit is the incremental legitimacy witness (program.Witness):
-	// a violation counter over the per-node clauses of Legitimate,
-	// conjoined with the substrate's own witness (see witness.go).
-	wit    program.ViolationCounter
-	subWit program.Witness // type-asserted from sub; nil ⇒ fall back to sub.Legitimate
-
-	subCorrupt program.NodeCorruptor // type-asserted from sub; nil ⇒ CorruptNode leaves sub alone
-	subTopo    program.TopologyAware // type-asserted from sub; nil ⇒ deltas leave sub alone
 }
 
 // Compile-time interface compliance.
@@ -89,6 +79,8 @@ var (
 	_ program.Influencer    = (*DFTNO)(nil)
 	_ program.TopologyAware = (*DFTNO)(nil)
 	_ program.Rootable      = (*DFTNO)(nil)
+	_ program.Witness       = (*DFTNO)(nil)
+	_ program.LayerOwn      = (*DFTNO)(nil)
 	_ token.Events          = (*DFTNO)(nil)
 )
 
@@ -103,27 +95,20 @@ var (
 // composed system starts in a legitimate configuration — use Randomize
 // or Restore for adversarial starts.
 func NewDFTNO(g *graph.Graph, sub TokenSubstrate, modulus int) (*DFTNO, error) {
-	if modulus == 0 {
-		modulus = g.N()
-	}
-	if modulus < g.N() {
-		return nil, fmt.Errorf("core: modulus %d below node count %d", modulus, g.N())
+	o, err := newOrientation(g, modulus)
+	if err != nil {
+		return nil, err
 	}
 	if !sub.Legitimate() {
 		return nil, errors.New("core: token substrate must start legitimate")
 	}
 	d := &DFTNO{
-		g:       g,
-		sub:     sub,
-		modulus: modulus,
-		roots:   program.NewRoots(g, sub.Root()),
-		eta:     make([]int, g.N()),
-		max:     make([]int, g.N()),
-		pi:      make([][]int, g.N()),
+		orientation: o,
+		sub:         sub,
+		roots:       program.NewRoots(g, sub.Root()),
+		max:         make([]int, g.N()),
 	}
-	for v := 0; v < g.N(); v++ {
-		d.pi[v] = make([]int, g.Ports(graph.NodeID(v)))
-	}
+	d.Layer = program.NewLayer(g, "dftno", sub, ActEdgeLabel, d)
 
 	// Reference naming: the legitimate circulation is the
 	// deterministic port-order DFS from the root (the Substrate
@@ -136,20 +121,10 @@ func NewDFTNO(g *graph.Graph, sub TokenSubstrate, modulus int) (*DFTNO, error) {
 	for v := range d.eta {
 		d.eta[v] = d.ref.Name(graph.NodeID(v))
 	}
-	for v := 0; v < g.N(); v++ {
-		id := graph.NodeID(v)
-		d.max[v] = d.expectedMax(id)
-		for port, q := range g.Neighbors(id) {
-			if q == graph.None {
-				continue
-			}
-			d.pi[v][port] = sod.ChordalLabel(d.eta[v], d.eta[q], d.modulus)
-		}
+	for v := range graph.NodeID(g.N()) {
+		d.max[v] = d.expectedMax(v)
+		d.relabel(v)
 	}
-
-	d.subWit, _ = sub.(program.Witness)
-	d.subCorrupt, _ = sub.(program.NodeCorruptor)
-	d.subTopo, _ = sub.(program.TopologyAware)
 	sub.SetObserver(d)
 
 	// Construction-time contract validation (the deleted recording
@@ -195,15 +170,15 @@ func (d *DFTNO) BindRootAuthority(a program.RootAuthority) {
 // compare η and Max against it at every node.
 func (d *DFTNO) rebuild() {
 	if d.ref.DFS(d.g, d.roots.AppendLive) {
-		d.wit.Invalidate()
+		d.InvalidateWitness()
 	}
 }
 
-// ensureRef re-derives the reference naming when the root set has
-// moved since the last derivation. Root flips rewrite no node state,
-// so nothing else invalidates the witness counters — every legitimacy
-// decision funnels through here first.
-func (d *DFTNO) ensureRef() {
+// OwnFresh implements program.LayerOwn: it re-derives the reference
+// naming when the root set has moved since the last derivation. Root
+// flips rewrite no node state, so nothing else invalidates the witness
+// counters — every legitimacy decision funnels through here first.
+func (d *DFTNO) OwnFresh() {
 	if !d.roots.Moved() {
 		return
 	}
@@ -226,24 +201,8 @@ func (d *DFTNO) expectedMax(v graph.NodeID) int {
 	return d.ref.Name(v)
 }
 
-// Name implements program.Protocol.
-func (d *DFTNO) Name() string { return "dftno/" + d.sub.Name() }
-
-// Graph implements program.Protocol.
-func (d *DFTNO) Graph() *graph.Graph { return d.g }
-
-// Modulus returns N.
-func (d *DFTNO) Modulus() int { return d.modulus }
-
 // Substrate returns the underlying token layer.
 func (d *DFTNO) Substrate() TokenSubstrate { return d.sub }
-
-// Names returns a copy of the current η vector.
-func (d *DFTNO) Names() []int {
-	out := make([]int, len(d.eta))
-	copy(out, d.eta)
-	return out
-}
 
 // ReferenceNames returns a copy of the stabilized naming (the DFS
 // preorder of the network in port order).
@@ -257,20 +216,6 @@ func (d *DFTNO) ReferenceNames() []int {
 
 // MaxOf returns node v's Max variable (exposed for tests and traces).
 func (d *DFTNO) MaxOf(v graph.NodeID) int { return d.max[v] }
-
-// Labeling exports the current orientation.
-func (d *DFTNO) Labeling() *sod.Labeling {
-	l := &sod.Labeling{
-		Modulus: d.modulus,
-		Names:   d.Names(),
-		Labels:  make([][]int, d.g.N()),
-	}
-	for v := range d.pi {
-		l.Labels[v] = make([]int, len(d.pi[v]))
-		copy(l.Labels[v], d.pi[v])
-	}
-	return l
-}
 
 // OnRootStart implements token.Events: the root names itself 0 when
 // it generates the token (Nodelabel_r).
@@ -292,46 +237,23 @@ func (d *DFTNO) OnBacktrack(v, child graph.NodeID) {
 	d.max[v] = d.max[child]
 }
 
-// invalidEdgeLabel is the paper's InvalidEdgelabel(p) predicate. Hole
-// ports have no edge to label and are skipped; their stale π entries
-// are dead state the next labeling of a re-added edge overwrites.
-func (d *DFTNO) invalidEdgeLabel(v graph.NodeID) bool {
-	for port, q := range d.g.Neighbors(v) {
-		if q == graph.None {
-			continue
-		}
-		if d.pi[v][port] != sod.ChordalLabel(d.eta[v], d.eta[q], d.modulus) {
-			return true
-		}
-	}
-	return false
-}
-
-// Enabled implements program.Protocol: the substrate's actions plus
-// the edge-labeling rule ¬Forward ∧ ¬Backtrack ∧ InvalidEdgelabel.
-func (d *DFTNO) Enabled(v graph.NodeID, buf []program.ActionID) []program.ActionID {
-	buf = d.sub.Enabled(v, buf)
+// OwnEnabled implements program.LayerOwn: the edge-labeling rule
+// ¬Forward ∧ ¬Backtrack ∧ InvalidEdgelabel, after the substrate's
+// actions.
+func (d *DFTNO) OwnEnabled(v graph.NodeID, buf []program.ActionID) []program.ActionID {
 	if !d.sub.HasToken(v) && d.invalidEdgeLabel(v) {
 		buf = append(buf, ActEdgeLabel)
 	}
 	return buf
 }
 
-// Execute implements program.Protocol.
-func (d *DFTNO) Execute(v graph.NodeID, a program.ActionID) bool {
-	if a == ActEdgeLabel {
-		if d.sub.HasToken(v) || !d.invalidEdgeLabel(v) {
-			return false
-		}
-		for port, q := range d.g.Neighbors(v) {
-			if q == graph.None {
-				continue
-			}
-			d.pi[v][port] = sod.ChordalLabel(d.eta[v], d.eta[q], d.modulus)
-		}
-		return true
+// OwnExecute implements program.LayerOwn.
+func (d *DFTNO) OwnExecute(v graph.NodeID, a program.ActionID) bool {
+	if a != ActEdgeLabel || d.sub.HasToken(v) || !d.invalidEdgeLabel(v) {
+		return false
 	}
-	return d.sub.Execute(v, a)
+	d.relabel(v)
+	return true
 }
 
 // Influence implements program.Influencer, documenting the locality
@@ -349,12 +271,12 @@ func (d *DFTNO) Influence(v graph.NodeID, _ program.ActionID, buf []graph.NodeID
 	return program.InfluenceClosedNeighborhood(d.g, v, buf)
 }
 
-// ActionName implements program.ActionNamer.
-func (d *DFTNO) ActionName(a program.ActionID) string {
+// OwnActionName implements program.LayerOwn.
+func (d *DFTNO) OwnActionName(a program.ActionID) string {
 	if a == ActEdgeLabel {
 		return "EdgeLabel"
 	}
-	return program.ActionName(d.sub, a)
+	return ""
 }
 
 // positionOK is the recomputable cycle invariant at v: the Max value
@@ -412,12 +334,14 @@ func (d *DFTNO) positionOK(v graph.NodeID) bool {
 	return true
 }
 
-// Legitimate implements program.Legitimacy: L_NO = L_TC ∧ SP1 ∧ SP2.
-// Concretely, the substrate must be legitimate, the names must equal
-// the reference naming, the Max vector and traversal position must
-// satisfy the cycle invariant (positionOK), and every edge label must
-// satisfy SP2 — precisely the configurations the ideal system visits
-// forever after stabilization.
+// OwnViolates implements program.LayerOwn: DFTNO's per-node clause of
+// L_NO = L_TC ∧ SP1 ∧ SP2, which the Layer conjoins with the
+// substrate's legitimacy. Concretely, the name must equal the
+// reference name, the Max value and traversal position must satisfy
+// the cycle invariant (positionOK), and every edge label must satisfy
+// SP2 — with the substrate legitimate, precisely the configurations
+// the ideal system visits forever after stabilization. Dead nodes
+// (topology churn) are outside the predicate.
 //
 // Orphan nodes — live but unreachable from the root, reference name −1 —
 // cannot satisfy the naming clause (η is drawn from 0..N−1), and the
@@ -425,64 +349,43 @@ func (d *DFTNO) positionOK(v graph.NodeID) bool {
 // SP2 consistency alone: labels derived from whatever names the
 // partition froze. That is exactly the terminal state of an orphan
 // component (the substrate quiesces there per its own predicate, then
-// EdgeLabel fires at most once per node), so closure holds.
-func (d *DFTNO) Legitimate() bool {
-	d.ensureRef()
-	if !d.sub.Legitimate() {
+// EdgeLabel fires at most once per node), so closure holds. Deltas
+// that change reachability rebuild the reference forest and invalidate
+// the counter, so the orphan classification is never stale here.
+func (d *DFTNO) OwnViolates(v graph.NodeID) bool {
+	if !d.g.Alive(v) {
 		return false
 	}
-	// Cheap necessary condition first: the predicate runs after every
-	// step in RunUntilLegitimate loops without a witness, and the name
-	// comparison fails fast. Dead nodes are outside the predicate.
-	for v := range graph.NodeID(d.g.N()) {
-		if d.g.Alive(v) && d.ref.Name(v) >= 0 && d.eta[v] != d.ref.Name(v) {
-			return false
-		}
+	if d.ref.Name(v) < 0 {
+		return d.invalidEdgeLabel(v)
 	}
-	for v := range graph.NodeID(d.g.N()) {
-		if d.dftnoViolates(v) {
-			return false
-		}
-	}
-	return true
+	return d.eta[v] != d.ref.Name(v) || !d.positionOK(v) || d.invalidEdgeLabel(v)
 }
 
-// TopologyChanged implements program.TopologyAware for the composed
-// stack: forward the delta to the substrate first (its hook clamps the
-// circulation state and contributes its ball), grow the per-node
-// arrays if the id space grew, rebind the port-indexed π array of
-// every touched node to its current port space, and maintain the
-// reference naming — incrementally where the delta provably cannot
-// change the port-order DFS (a removed non-tree edge), by an O(n+m)
-// rebuild otherwise, counted in RefRebuilds. A rebuild that actually
-// changed the naming invalidates the witness counters (their clauses
-// compare η and Max against the reference names at every node), which
-// lazily re-arm on the next legitimacy query. The returned ball adds
-// the touched set's closed neighbourhoods: all of DFTNO's own guards
-// read one hop, like the substrate's.
-func (d *DFTNO) TopologyChanged(dlt graph.Delta, buf []graph.NodeID) []graph.NodeID {
-	if d.subTopo != nil {
-		buf = d.subTopo.TopologyChanged(dlt, buf)
-	}
-	if n := d.g.N(); len(d.eta) < n {
-		for len(d.eta) < n {
-			d.eta = append(d.eta, 0)
+// OwnGrow implements program.LayerOwn: η, Max and π cover the grown
+// id space (N rising with it) and the touched nodes' port spaces. A
+// grown id space invalidates the witness counter.
+func (d *DFTNO) OwnGrow(dlt graph.Delta) bool {
+	grew := d.grow(dlt)
+	if grew {
+		for len(d.max) < len(d.eta) {
 			d.max = append(d.max, 0)
-			d.pi = append(d.pi, nil)
 		}
-		if d.modulus < n {
-			// The agreed size bound N must cover the grown network;
-			// every SP2 label is stale under the new modulus, which the
-			// edge-labeling action rewrites during re-stabilization.
-			d.modulus = n
-		}
-		d.wit.Invalidate()
+		d.InvalidateWitness()
 	}
-	for _, v := range dlt.Touched {
-		for len(d.pi[v]) < d.g.Ports(v) {
-			d.pi[v] = append(d.pi[v], 0)
-		}
-	}
+	return grew
+}
+
+// OwnRepair implements program.LayerOwn: it maintains the reference
+// naming — incrementally where the delta provably cannot change the
+// port-order DFS (a removed non-tree edge), by an O(n+m) rebuild
+// otherwise, counted in RefRebuilds. A rebuild that actually changed
+// the naming invalidates the witness counters (their clauses compare η
+// and Max against the reference names at every node), which lazily
+// re-arm on the next legitimacy query. The ball adds the touched set's
+// closed neighbourhoods: all of DFTNO's own guards read one hop, like
+// the substrate's.
+func (d *DFTNO) OwnRepair(dlt graph.Delta, _ bool, buf []graph.NodeID) []graph.NodeID {
 	if dlt.Kind != graph.EdgeRemoved || d.ref.TreeEdge(dlt.U, dlt.V) {
 		d.RefRebuilds++
 		d.roots.Moved() // the rebuild reads the current root set
@@ -494,11 +397,9 @@ func (d *DFTNO) TopologyChanged(dlt graph.Delta, buf []graph.NodeID) []graph.Nod
 	return buf
 }
 
-// Snapshot implements program.Snapshotter: the substrate snapshot
-// followed by η, Max and π.
-func (d *DFTNO) Snapshot() []byte {
-	w := program.NewSnapshotWriter(16 + 8*d.g.N())
-	w.Layer(d.sub)
+// OwnSnapshot implements program.LayerOwn: η, Max and π after the
+// substrate snapshot.
+func (d *DFTNO) OwnSnapshot(w program.SnapshotWriter) program.SnapshotWriter {
 	for v := 0; v < d.g.N(); v++ {
 		w.Int(d.eta[v])
 		w.Int(d.max[v])
@@ -506,13 +407,11 @@ func (d *DFTNO) Snapshot() []byte {
 			w.Int(l)
 		}
 	}
-	return w.Bytes()
+	return w
 }
 
-// Restore implements program.Snapshotter.
-func (d *DFTNO) Restore(data []byte) error {
-	r := program.NewSnapshotReader(data)
-	r.Layer(d.sub)
+// OwnRestore implements program.LayerOwn.
+func (d *DFTNO) OwnRestore(r program.SnapshotReader) program.SnapshotReader {
 	for v := 0; v < d.g.N(); v++ {
 		d.eta[v] = r.Int()
 		d.max[v] = r.Int()
@@ -520,19 +419,16 @@ func (d *DFTNO) Restore(data []byte) error {
 			d.pi[v][port] = r.Int()
 		}
 	}
-	return r.Err()
+	return r
 }
 
-// CorruptNode implements program.NodeCorruptor: v's orientation
-// variables and its substrate state take arbitrary values of their
-// domains (η, Max ∈ 0..N−1 and π entries ∈ 0..N−1, per §3.2.3).
+// OwnCorrupt implements program.LayerOwn: v's orientation variables
+// take arbitrary values of their domains (η, Max ∈ 0..N−1 and π
+// entries ∈ 0..N−1, per §3.2.3), after the substrate's draws.
 // Out-of-domain values also heal — every variable is overwritten
 // within one clean round — which TestDFTNOHealsOutOfDomainValues
 // exercises separately.
-func (d *DFTNO) CorruptNode(v graph.NodeID, rng *rand.Rand) {
-	if d.subCorrupt != nil {
-		d.subCorrupt.CorruptNode(v, rng)
-	}
+func (d *DFTNO) OwnCorrupt(v graph.NodeID, rng *rand.Rand) {
 	d.eta[v] = rng.Intn(d.modulus)
 	d.max[v] = rng.Intn(d.modulus)
 	for port := range d.pi[v] {
@@ -540,26 +436,10 @@ func (d *DFTNO) CorruptNode(v graph.NodeID, rng *rand.Rand) {
 	}
 }
 
-// Randomize implements program.Randomizer: the substrate and every
-// orientation variable take arbitrary values of their domains.
-func (d *DFTNO) Randomize(rng *rand.Rand) {
-	for v := 0; v < d.g.N(); v++ {
-		d.CorruptNode(graph.NodeID(v), rng)
-	}
-}
-
-// OrientationBits returns the orientation layer's own footprint at v:
-// η and Max (⌈log₂N⌉ each) plus Δ_v edge labels (⌈log₂N⌉ each).
-func (d *DFTNO) OrientationBits(v graph.NodeID) int {
+// OwnStateBits implements program.LayerOwn: the orientation layer's
+// own footprint at v, η and Max (⌈log₂N⌉ each) plus Δ_v edge labels
+// (⌈log₂N⌉ each).
+func (d *DFTNO) OwnStateBits(v graph.NodeID) int {
 	lg := program.Log2Ceil(d.modulus)
 	return 2*lg + d.g.Degree(v)*lg
-}
-
-// StateBits implements program.SpaceMeter: orientation plus substrate.
-func (d *DFTNO) StateBits(v graph.NodeID) int {
-	bits := d.OrientationBits(v)
-	if m, ok := d.sub.(program.SpaceMeter); ok {
-		bits += m.StateBits(v)
-	}
-	return bits
 }

@@ -90,7 +90,7 @@ func (c *refChecker) mark() {
 func (c *refChecker) check(what string) {
 	c.t.Helper()
 	d := c.d
-	d.ensureRef()
+	d.OwnFresh()
 	names, last, port, parent, roots, shared := referenceOracle(d)
 	same := func(stage string, f *graph.Forest) {
 		c.t.Helper()

@@ -1,19 +1,19 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
 
 	"netorient/internal/graph"
 	"netorient/internal/program"
-	"netorient/internal/sod"
 	"netorient/internal/spantree"
 )
 
 // TreeSubstrate is the contract STNO needs from its underlying
-// spanning-tree protocol.
+// spanning-tree protocol: the guarded-command behaviour, its
+// legitimacy predicate L_ST, and the tree's parent pointers.
 type TreeSubstrate interface {
 	program.Protocol
+	program.Legitimacy
 	spantree.Substrate
 }
 
@@ -43,32 +43,22 @@ const (
 // Per-node state beyond the substrate: Weight and η (⌈log₂N⌉ bits
 // each) plus the Start array and π (Δ_p·⌈log₂N⌉ bits each) — the
 // O(Δ×log N) of §4.2.3, and the source of the extra O(Δ×log N) the
-// paper charges STNO compared to DFTNO in Chapter 5.
+// paper charges STNO compared to DFTNO in Chapter 5. The embedded
+// Layer composes it with the substrate; its witness counter runs over
+// OwnViolates.
 type STNO struct {
-	g       *graph.Graph
-	sub     TreeSubstrate
-	modulus int
-	roots   program.Roots // every root names itself 0; its key dates the witness counters
+	program.Layer
+	orientation // η, π and N
+
+	sub   TreeSubstrate
+	roots program.Roots // every root names itself 0; its key dates the witness counters
 
 	weight []int
-	eta    []int
 	start  [][]int // per node, per port; meaningful on child ports, 0 elsewhere
-	pi     [][]int
 
 	// subBallRad is the radius of the influence ball substrate moves
 	// need: 1 + Substrate.ParentLocality.
 	subBallRad int
-
-	// wit is the incremental legitimacy witness (see witness.go).
-	wit    program.ViolationCounter
-	subWit program.Witness // type-asserted from sub; nil ⇒ fall back to sub.Stable
-
-	// Optional substrate capabilities, type-asserted once from sub;
-	// nil ⇒ the layer skips the substrate (an empty snapshot layer, no
-	// substrate corruption, no topology hook).
-	subSnap    program.Snapshotter
-	subCorrupt program.NodeCorruptor
-	subTopo    program.TopologyAware
 }
 
 // Compile-time interface compliance.
@@ -82,6 +72,8 @@ var (
 	_ program.Influencer    = (*STNO)(nil)
 	_ program.TopologyAware = (*STNO)(nil)
 	_ program.Rootable      = (*STNO)(nil)
+	_ program.Witness       = (*STNO)(nil)
+	_ program.LayerOwn      = (*STNO)(nil)
 )
 
 // NewSTNO layers the orientation protocol over sub. modulus is N (0
@@ -89,70 +81,30 @@ var (
 // orientation variables; it is self-stabilizing, so any start works —
 // use Randomize for adversarial ones.
 func NewSTNO(g *graph.Graph, sub TreeSubstrate, modulus int) (*STNO, error) {
-	if modulus == 0 {
-		modulus = g.N()
-	}
-	if modulus < g.N() {
-		return nil, fmt.Errorf("core: modulus %d below node count %d", modulus, g.N())
+	o, err := newOrientation(g, modulus)
+	if err != nil {
+		return nil, err
 	}
 	s := &STNO{
-		g:       g,
-		sub:     sub,
-		modulus: modulus,
-		roots:   program.NewRoots(g, sub.Root()),
-		weight:  make([]int, g.N()),
-		eta:     make([]int, g.N()),
-		start:   make([][]int, g.N()),
-		pi:      make([][]int, g.N()),
+		orientation: o,
+		sub:         sub,
+		roots:       program.NewRoots(g, sub.Root()),
+		weight:      make([]int, g.N()),
+		start:       make([][]int, g.N()),
+		subBallRad:  1 + sub.ParentLocality(),
 	}
-	for v := 0; v < g.N(); v++ {
-		deg := g.Ports(graph.NodeID(v))
-		s.start[v] = make([]int, deg)
-		s.pi[v] = make([]int, deg)
+	for v := range s.start {
+		s.start[v] = make([]int, g.Ports(graph.NodeID(v)))
 	}
-	s.subBallRad = 1 + sub.ParentLocality()
-	s.subWit, _ = sub.(program.Witness)
-	s.subSnap, _ = sub.(program.Snapshotter)
-	s.subCorrupt, _ = sub.(program.NodeCorruptor)
-	s.subTopo, _ = sub.(program.TopologyAware)
+	s.Layer = program.NewLayer(g, "stno", sub, ActWeight, s)
 	return s, nil
 }
-
-// Name implements program.Protocol.
-func (s *STNO) Name() string { return "stno/" + s.sub.Name() }
-
-// Graph implements program.Protocol.
-func (s *STNO) Graph() *graph.Graph { return s.g }
-
-// Modulus returns N.
-func (s *STNO) Modulus() int { return s.modulus }
 
 // Substrate returns the underlying tree layer.
 func (s *STNO) Substrate() TreeSubstrate { return s.sub }
 
-// Names returns a copy of the current η vector.
-func (s *STNO) Names() []int {
-	out := make([]int, len(s.eta))
-	copy(out, s.eta)
-	return out
-}
-
 // WeightOf returns node v's Weight variable.
 func (s *STNO) WeightOf(v graph.NodeID) int { return s.weight[v] }
-
-// Labeling exports the current orientation.
-func (s *STNO) Labeling() *sod.Labeling {
-	l := &sod.Labeling{
-		Modulus: s.modulus,
-		Names:   s.Names(),
-		Labels:  make([][]int, s.g.N()),
-	}
-	for v := range s.pi {
-		l.Labels[v] = make([]int, len(s.pi[v]))
-		copy(l.Labels[v], s.pi[v])
-	}
-	return l
-}
 
 // BindRootAuthority implements program.Rootable: the binding is
 // forwarded to the tree substrate (which re-anchors its reference
@@ -164,7 +116,16 @@ func (s *STNO) BindRootAuthority(a program.RootAuthority) {
 		r.BindRootAuthority(a)
 	}
 	s.roots.Bind(a)
-	s.wit.Invalidate()
+	s.InvalidateWitness()
+}
+
+// OwnFresh implements program.LayerOwn: a root-set change changes
+// clause verdicts without touching any node, so it invalidates the
+// witness counter.
+func (s *STNO) OwnFresh() {
+	if s.roots.Moved() {
+		s.InvalidateWitness()
+	}
 }
 
 // expectedWeight is CalcWeight: 1 + Σ_{q∈D_v} Weight_q (1 for leaves).
@@ -243,23 +204,8 @@ func (s *STNO) nameInvalid(v graph.NodeID) bool {
 	return false
 }
 
-// invalidEdgeLabel is InvalidEdgelabel(p). Hole ports have no edge to
-// label and are skipped.
-func (s *STNO) invalidEdgeLabel(v graph.NodeID) bool {
-	for port, q := range s.g.Neighbors(v) {
-		if q == graph.None {
-			continue
-		}
-		if s.pi[v][port] != sod.ChordalLabel(s.eta[v], s.eta[q], s.modulus) {
-			return true
-		}
-	}
-	return false
-}
-
-// Enabled implements program.Protocol.
-func (s *STNO) Enabled(v graph.NodeID, buf []program.ActionID) []program.ActionID {
-	buf = s.sub.Enabled(v, buf)
+// OwnEnabled implements program.LayerOwn.
+func (s *STNO) OwnEnabled(v graph.NodeID, buf []program.ActionID) []program.ActionID {
 	if s.weight[v] != s.expectedWeight(v) {
 		buf = append(buf, ActWeight)
 	}
@@ -272,8 +218,8 @@ func (s *STNO) Enabled(v graph.NodeID, buf []program.ActionID) []program.ActionI
 	return buf
 }
 
-// Execute implements program.Protocol.
-func (s *STNO) Execute(v graph.NodeID, a program.ActionID) bool {
+// OwnExecute implements program.LayerOwn.
+func (s *STNO) OwnExecute(v graph.NodeID, a program.ActionID) bool {
 	switch a {
 	case ActWeight:
 		w := s.expectedWeight(v)
@@ -295,16 +241,10 @@ func (s *STNO) Execute(v graph.NodeID, a program.ActionID) bool {
 		if !s.invalidEdgeLabel(v) {
 			return false
 		}
-		for port, q := range s.g.Neighbors(v) {
-			if q == graph.None {
-				continue
-			}
-			s.pi[v][port] = sod.ChordalLabel(s.eta[v], s.eta[q], s.modulus)
-		}
+		s.relabel(v)
 		return true
-	default:
-		return s.sub.Execute(v, a)
 	}
+	return false
 }
 
 // Influence implements program.Influencer, documenting the locality
@@ -334,8 +274,8 @@ func (s *STNO) Influence(v graph.NodeID, a program.ActionID, buf []graph.NodeID)
 // a ball of that radius, so the declared radius is subBallRad.
 func (s *STNO) LocalityRadius() int { return s.subBallRad }
 
-// ActionName implements program.ActionNamer.
-func (s *STNO) ActionName(a program.ActionID) string {
+// OwnActionName implements program.LayerOwn.
+func (s *STNO) OwnActionName(a program.ActionID) string {
 	switch a {
 	case ActWeight:
 		return "CalcWeight"
@@ -344,73 +284,60 @@ func (s *STNO) ActionName(a program.ActionID) string {
 	case ActSTNOEdge:
 		return "EdgeLabel"
 	}
-	return program.ActionName(s.sub, a)
+	return ""
 }
 
-// Legitimate implements program.Legitimacy: L_NO = L_ST ∧ SP1 ∧ SP2.
-// STNO is silent, so legitimacy is exactly "the substrate is stable
-// and no orientation action is enabled": on a stable tree the weight
-// equations force the true subtree sizes, the range distribution then
-// forces the preorder naming (SP1), and the label equations force SP2.
-func (s *STNO) Legitimate() bool {
-	if !s.sub.Stable() {
+// OwnViolates implements program.LayerOwn: STNO's per-node clause of
+// L_NO = L_ST ∧ SP1 ∧ SP2, which the Layer conjoins with the
+// substrate's legitimacy. STNO is silent, so legitimacy is exactly
+// "the substrate is legitimate and no orientation action is enabled":
+// on a stable tree the weight equations force the true subtree sizes,
+// the range distribution then forces the preorder naming (SP1), and
+// the label equations force SP2. Dead nodes (topology churn) are
+// outside the predicate.
+func (s *STNO) OwnViolates(v graph.NodeID) bool {
+	if !s.g.Alive(v) {
 		return false
 	}
-	for v := 0; v < s.g.N(); v++ {
-		id := graph.NodeID(v)
-		if !s.g.Alive(id) {
-			continue
-		}
-		if s.weight[v] != s.expectedWeight(id) || s.nameInvalid(id) || s.invalidEdgeLabel(id) {
-			return false
-		}
-	}
-	return true
+	return s.weight[v] != s.expectedWeight(v) || s.nameInvalid(v) || s.invalidEdgeLabel(v)
 }
 
-// TopologyChanged implements program.TopologyAware for the composed
-// stack: forward to the substrate, grow node-indexed arrays if the id
-// space grew, rebind the port-indexed Start and π arrays of touched
-// nodes. The returned ball is the radius 1+ParentLocality() walk
-// around each touched node: STNO guards read their neighbours'
-// substrate-derived Parent, which itself reads ParentLocality() hops,
-// so a topology event is visible that far out — the same widening the
-// Influence declaration applies to substrate moves.
-func (s *STNO) TopologyChanged(d graph.Delta, buf []graph.NodeID) []graph.NodeID {
-	if s.subTopo != nil {
-		buf = s.subTopo.TopologyChanged(d, buf)
-	}
-	if n := s.g.N(); len(s.eta) < n {
-		for len(s.eta) < n {
-			s.eta = append(s.eta, 0)
+// OwnGrow implements program.LayerOwn: Weight, η, Start and π cover
+// the grown id space (N rising with it) and the touched nodes' port
+// spaces. A grown id space invalidates the witness counter.
+func (s *STNO) OwnGrow(d graph.Delta) bool {
+	grew := s.grow(d)
+	if grew {
+		for len(s.weight) < len(s.eta) {
 			s.weight = append(s.weight, 0)
 			s.start = append(s.start, nil)
-			s.pi = append(s.pi, nil)
 		}
-		if s.modulus < n {
-			s.modulus = n // see the DFTNO hook: the size bound must cover the grown network
-		}
-		s.wit.Invalidate()
+		s.InvalidateWitness()
 	}
 	for _, v := range d.Touched {
 		for len(s.start[v]) < s.g.Ports(v) {
 			s.start[v] = append(s.start[v], 0)
 		}
-		for len(s.pi[v]) < s.g.Ports(v) {
-			s.pi[v] = append(s.pi[v], 0)
-		}
 	}
+	return grew
+}
+
+// OwnRepair implements program.LayerOwn. STNO keeps no derived
+// topology facts; its ball is the radius 1+ParentLocality() walk
+// around each touched node: STNO guards read their neighbours'
+// substrate-derived Parent, which itself reads ParentLocality() hops,
+// so a topology event is visible that far out — the same widening the
+// Influence declaration applies to substrate moves.
+func (s *STNO) OwnRepair(d graph.Delta, _ bool, buf []graph.NodeID) []graph.NodeID {
 	for _, v := range d.Touched {
 		buf = program.InfluenceWalk(s.g, v, s.subBallRad, buf)
 	}
 	return buf
 }
 
-// Snapshot implements program.Snapshotter: the substrate snapshot (if
-// it supports snapshots) followed by Weight, η, Start and π.
-func (s *STNO) Snapshot() []byte {
-	w := program.NewSnapshotWriter(16 + 8*s.g.N())
-	w.Layer(s.subSnap)
+// OwnSnapshot implements program.LayerOwn: Weight, η, Start and π
+// after the substrate snapshot.
+func (s *STNO) OwnSnapshot(w program.SnapshotWriter) program.SnapshotWriter {
 	for v := 0; v < s.g.N(); v++ {
 		w.Int(s.weight[v])
 		w.Int(s.eta[v])
@@ -421,13 +348,11 @@ func (s *STNO) Snapshot() []byte {
 			w.Int(x)
 		}
 	}
-	return w.Bytes()
+	return w
 }
 
-// Restore implements program.Snapshotter.
-func (s *STNO) Restore(data []byte) error {
-	r := program.NewSnapshotReader(data)
-	r.Layer(s.subSnap)
+// OwnRestore implements program.LayerOwn.
+func (s *STNO) OwnRestore(r program.SnapshotReader) program.SnapshotReader {
 	for v := 0; v < s.g.N(); v++ {
 		s.weight[v] = r.Int()
 		s.eta[v] = r.Int()
@@ -438,16 +363,14 @@ func (s *STNO) Restore(data []byte) error {
 			s.pi[v][port] = r.Int()
 		}
 	}
-	return r.Err()
+	return r
 }
 
-// CorruptNode implements program.NodeCorruptor: v's variables take
-// arbitrary values of their domains (Weight ∈ 1..N, η ∈ 0..N−1,
-// Start and π entries ∈ 0..N−1, per Algorithm 4.1.2's declarations).
-func (s *STNO) CorruptNode(v graph.NodeID, rng *rand.Rand) {
-	if s.subCorrupt != nil {
-		s.subCorrupt.CorruptNode(v, rng)
-	}
+// OwnCorrupt implements program.LayerOwn: v's variables take arbitrary
+// values of their domains (Weight ∈ 1..N, η ∈ 0..N−1, Start and π
+// entries ∈ 0..N−1, per Algorithm 4.1.2's declarations), after the
+// substrate's draws.
+func (s *STNO) OwnCorrupt(v graph.NodeID, rng *rand.Rand) {
 	s.weight[v] = 1 + rng.Intn(s.modulus)
 	s.eta[v] = rng.Intn(s.modulus)
 	for port := range s.start[v] {
@@ -458,26 +381,10 @@ func (s *STNO) CorruptNode(v graph.NodeID, rng *rand.Rand) {
 	}
 }
 
-// Randomize implements program.Randomizer.
-func (s *STNO) Randomize(rng *rand.Rand) {
-	for v := 0; v < s.g.N(); v++ {
-		s.CorruptNode(graph.NodeID(v), rng)
-	}
-}
-
-// OrientationBits returns the orientation layer's own footprint at v:
-// Weight and η (⌈log₂N⌉ each) plus the Start array and π
-// (Δ_v·⌈log₂N⌉ each).
-func (s *STNO) OrientationBits(v graph.NodeID) int {
+// OwnStateBits implements program.LayerOwn: the orientation layer's
+// own footprint at v, Weight and η (⌈log₂N⌉ each) plus the Start array
+// and π (Δ_v·⌈log₂N⌉ each).
+func (s *STNO) OwnStateBits(v graph.NodeID) int {
 	lg := program.Log2Ceil(s.modulus)
 	return 2*lg + 2*s.g.Degree(v)*lg
-}
-
-// StateBits implements program.SpaceMeter: orientation plus substrate.
-func (s *STNO) StateBits(v graph.NodeID) int {
-	bits := s.OrientationBits(v)
-	if m, ok := s.sub.(program.SpaceMeter); ok {
-		bits += m.StateBits(v)
-	}
-	return bits
 }

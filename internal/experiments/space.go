@@ -48,10 +48,10 @@ func T3Space(cfg Config) (*trace.Table, error) {
 		var dOrient, sOrient, dSub, sSub int
 		for v := 0; v < g.N(); v++ {
 			id := graph.NodeID(v)
-			if b := d.OrientationBits(id); b > dOrient {
+			if b := d.OwnStateBits(id); b > dOrient {
 				dOrient = b
 			}
-			if b := s.OrientationBits(id); b > sOrient {
+			if b := s.OwnStateBits(id); b > sOrient {
 				sOrient = b
 			}
 			if m, ok := d.Substrate().(program.SpaceMeter); ok {

@@ -34,7 +34,7 @@
 // an acting root. The wrapper exposes the verdict to the wrapped stack
 // through program.RootAuthority: the stack re-anchors its circulation
 // or tree at the acting root and converges to component-local
-// legitimacy (ActingLegitimate). On heal the distance gradient from
+// legitimacy (Legitimate). On heal the distance gradient from
 // the true root floods back, Orphaned flips off, the acting root
 // abdicates, and the stack re-converges on the merged component —
 // acting-root state washes out because IsRoot is derived, never
@@ -67,8 +67,12 @@ const (
 )
 
 // Protocol is the composed stack: detection + election + the wrapped
-// protocol, bound to this wrapper as its root authority.
+// protocol, bound to this wrapper as its root authority. The embedded
+// Layer composes the wrapper's own layers with the wrapped stack; its
+// witness counter runs over OwnViolates.
 type Protocol struct {
+	program.Layer
+
 	g    *graph.Graph
 	in   Inner
 	root graph.NodeID
@@ -106,17 +110,6 @@ type Protocol struct {
 	// reports can aggregate flap counts per component.
 	LeaderFlaps int64
 	flaps       []int64
-
-	wit   program.ViolationCounter
-	inWit program.Witness // type-asserted from in; nil ⇒ fall back to in.Legitimate
-
-	// Optional stack capabilities, type-asserted once from in; nil ⇒
-	// the wrapper skips the stack (an empty snapshot layer, no stack
-	// corruption, the default 1-hop influence, no topology hook).
-	inSnap    program.Snapshotter
-	inCorrupt program.NodeCorruptor
-	inInf     program.Influencer
-	inTopo    program.TopologyAware
 }
 
 // Compile-time interface compliance.
@@ -132,6 +125,7 @@ var (
 	_ program.TopologyAware = (*Protocol)(nil)
 	_ program.Witness       = (*Protocol)(nil)
 	_ program.RootAuthority = (*Protocol)(nil)
+	_ program.LayerOwn      = (*Protocol)(nil)
 )
 
 // New wraps inner, anchored at the fixed root. The wrapper's own
@@ -161,11 +155,7 @@ func New(g *graph.Graph, inner Inner, root graph.NodeID) *Protocol {
 		p.lid[v] = v
 	}
 	p.stabilizeOwn()
-	p.inWit, _ = inner.(program.Witness)
-	p.inSnap, _ = inner.(program.Snapshotter)
-	p.inCorrupt, _ = inner.(program.NodeCorruptor)
-	p.inInf, _ = inner.(program.Influencer)
-	p.inTopo, _ = inner.(program.TopologyAware)
+	p.Layer = program.NewLayer(g, "failover", inner, ActDetect, p)
 	inner.BindRootAuthority(p)
 	return p
 }
@@ -189,7 +179,7 @@ func (p *Protocol) WeightElection(pins map[graph.NodeID]int64) {
 	}
 	p.stabilizeOwn()
 	p.rootsVer++
-	p.wit.Invalidate()
+	p.InvalidateWitness()
 }
 
 // Weighted reports whether the weighted election is active.
@@ -389,15 +379,8 @@ func (p *Protocol) DetectionAccurate() bool {
 	return true
 }
 
-// Name implements program.Protocol.
-func (p *Protocol) Name() string { return "failover/" + p.in.Name() }
-
-// Graph implements program.Protocol.
-func (p *Protocol) Graph() *graph.Graph { return p.g }
-
-// Enabled implements program.Protocol.
-func (p *Protocol) Enabled(v graph.NodeID, buf []program.ActionID) []program.ActionID {
-	buf = p.in.Enabled(v, buf)
+// OwnEnabled implements program.LayerOwn.
+func (p *Protocol) OwnEnabled(v graph.NodeID, buf []program.ActionID) []program.ActionID {
 	if !p.g.Alive(v) {
 		return buf
 	}
@@ -415,11 +398,11 @@ func (p *Protocol) Enabled(v graph.NodeID, buf []program.ActionID) []program.Act
 	return buf
 }
 
-// Execute implements program.Protocol. A wrapper move that flips v's
-// IsRoot verdict bumps the authority version (the wrapped stack's
+// OwnExecute implements program.LayerOwn. A wrapper move that flips
+// v's IsRoot verdict bumps the authority version (the wrapped stack's
 // reference structures re-derive lazily on their next legitimacy
 // query) and records the flap.
-func (p *Protocol) Execute(v graph.NodeID, a program.ActionID) bool {
+func (p *Protocol) OwnExecute(v graph.NodeID, a program.ActionID) bool {
 	switch a {
 	case ActDetect:
 		d, e := p.desiredDetect(v)
@@ -449,9 +432,8 @@ func (p *Protocol) Execute(v graph.NodeID, a program.ActionID) bool {
 		p.lid[v], p.ldist[v] = l, ld
 		p.noteFlip(v, pre)
 		return true
-	default:
-		return p.in.Execute(v, a)
 	}
+	return false
 }
 
 // noteFlip bumps the authority version when v's verdict changed from
@@ -481,10 +463,7 @@ func (p *Protocol) Influence(v graph.NodeID, a program.ActionID, buf []graph.Nod
 	if a >= ActDetect {
 		return program.InfluenceWalk(p.g, v, 2, buf)
 	}
-	if p.inInf != nil {
-		return p.inInf.Influence(v, a, buf)
-	}
-	return program.InfluenceClosedNeighborhood(p.g, v, buf)
+	return p.InnerInfluence(v, a, buf)
 }
 
 // LocalityRadius implements program.LocalityRadius for the sharded
@@ -500,47 +479,34 @@ func (p *Protocol) LocalityRadius() int {
 	return r
 }
 
-// ActionName implements program.ActionNamer.
-func (p *Protocol) ActionName(a program.ActionID) string {
+// OwnActionName implements program.LayerOwn.
+func (p *Protocol) OwnActionName(a program.ActionID) string {
 	switch a {
 	case ActDetect:
 		return "Detect"
 	case ActElect:
 		return "Elect"
 	}
-	return program.ActionName(p.in, a)
+	return ""
 }
 
-// settled reports whether both wrapper layers are at their fixpoint.
-func (p *Protocol) settled() bool {
-	for v := 0; v < p.g.N(); v++ {
-		if p.violates(graph.NodeID(v)) {
-			return false
-		}
-	}
-	return true
-}
+// OwnFresh implements program.LayerOwn: the wrapper derives nothing
+// from the root set it decides.
+func (p *Protocol) OwnFresh() {}
 
-// Legitimate implements program.Legitimacy: the wrapper layers are at
-// their fixpoint and the wrapped stack is legitimate under the
-// authority's verdicts — which, when orphan components exist, is
-// exactly per-component local legitimacy anchored at the acting roots.
-func (p *Protocol) Legitimate() bool {
-	return p.settled() && p.in.Legitimate()
-}
-
-// ActingLegitimate is the paper-facing name for the composed
-// predicate: every component — rooted at the fixed root or at its
-// acting root — has locally converged, and detection/election agree
-// with graph truth (settled detection is truthful by the counting
-// bound). Identical to Legitimate; exported for call sites that want
-// the failover semantics spelled out.
-func (p *Protocol) ActingLegitimate() bool { return p.Legitimate() }
-
-// violates is the wrapper's per-node witness clause: a live node whose
-// detection or election variable disagrees with its rule. Reads v's
-// closed 1-hop neighbourhood only.
-func (p *Protocol) violates(v graph.NodeID) bool {
+// OwnViolates implements program.LayerOwn: the wrapper's per-node
+// clause, a live node whose detection or election variable disagrees
+// with its rule. Reads v's closed 1-hop neighbourhood only. The
+// composed Legitimate — the wrapper layers at their fixpoint and the
+// wrapped stack legitimate under the authority's verdicts — is then
+// exactly per-component local legitimacy anchored at the acting roots:
+// every component, rooted at the fixed root or at its acting root, has
+// locally converged, and detection agrees with graph truth (settled
+// detection is truthful by the counting bound). The wrapper's verdict
+// short-circuits the witness: while detection or election is still
+// converging the wrapped stack's witness re-arm is not paid (root
+// flips keep invalidating its reference structures).
+func (p *Protocol) OwnViolates(v graph.NodeID) bool {
 	if !p.g.Alive(v) {
 		return false
 	}
@@ -555,55 +521,12 @@ func (p *Protocol) violates(v graph.NodeID) bool {
 	return l != p.lid[v] || ld != p.ldist[v]
 }
 
-// WitnessReset implements program.Witness.
-func (p *Protocol) WitnessReset() {
-	if p.inWit != nil {
-		p.inWit.WitnessReset()
-	}
-	p.wit.Reset(p.g.N(), p.violates)
-}
-
-// WitnessRefresh implements program.Witness.
-func (p *Protocol) WitnessRefresh(v graph.NodeID) {
-	if !p.wit.Valid() {
-		return
-	}
-	if p.inWit != nil {
-		p.inWit.WitnessRefresh(v)
-	}
-	p.wit.Refresh(v, p.violates(v))
-}
-
-// WitnessLegitimate implements program.Witness. The wrapper's own
-// verdict is checked first and short-circuits: while detection or
-// election is still converging there is no point paying the wrapped
-// stack's witness re-arm (root flips keep invalidating its reference
-// structures).
-func (p *Protocol) WitnessLegitimate() bool {
-	if !p.wit.Valid() {
-		p.WitnessReset()
-	}
-	if !p.wit.Zero() {
-		return false
-	}
-	if p.inWit != nil {
-		return p.inWit.WitnessLegitimate()
-	}
-	return p.in.Legitimate()
-}
-
-// TopologyChanged implements program.TopologyAware: grow node-indexed
-// arrays if the id space grew, forward to the wrapped stack, and
-// conservatively treat every node-liveness delta as a potential
-// verdict flip — the fixed root dying or reviving, the bound N
-// growing, a RootEpoch bump — by bumping the authority version and
-// invalidating the wrapper's witness (its clauses read the bound and
-// the root's epoch). The arrays grow first because the wrapped stack's
-// hook may query the authority (IsRoot) at the new ids. The returned
-// ball is the radius-2 walk of each touched node, matching the
-// Influence declaration, except on growth: the guards read the bound
-// N, so the ball is then every node.
-func (p *Protocol) TopologyChanged(d graph.Delta, buf []graph.NodeID) []graph.NodeID {
+// OwnGrow implements program.LayerOwn: grow node-indexed arrays if
+// the id space grew, before the wrapped stack's hook runs, because it
+// may query the authority (IsRoot) at the new ids. Growth raises the
+// bound N, so it bumps the authority version and invalidates the
+// wrapper's witness (its clauses read the bound).
+func (p *Protocol) OwnGrow(d graph.Delta) bool {
 	n := p.g.N()
 	grew := len(p.dist) < n
 	if grew {
@@ -618,20 +541,29 @@ func (p *Protocol) TopologyChanged(d graph.Delta, buf []graph.NodeID) []graph.No
 			p.flaps = append(p.flaps, 0)
 		}
 		p.rootsVer++ // the bound N grew: saturated counters are no longer saturated
-		p.wit.Invalidate()
+		p.InvalidateWitness()
 	}
-	if p.inTopo != nil {
-		buf = p.inTopo.TopologyChanged(d, buf)
-	}
+	return grew
+}
+
+// OwnRepair implements program.LayerOwn, after the wrapped stack's
+// hook: it conservatively treats every node-liveness delta as a
+// potential verdict flip — the fixed root dying or reviving, a
+// RootEpoch bump — by bumping the authority version and invalidating
+// the wrapper's witness (its clauses read the root's epoch). The ball
+// is the radius-2 walk of each touched node, matching the Influence
+// declaration, except on growth: the guards read the bound N, so the
+// ball is then every node.
+func (p *Protocol) OwnRepair(d graph.Delta, grew bool, buf []graph.NodeID) []graph.NodeID {
 	if d.Kind == graph.NodeAdded || d.Kind == graph.NodeRemoved {
 		p.rootsVer++
-		p.wit.Invalidate()
+		p.InvalidateWitness()
 	}
 	if grew {
 		// The wrapper's guards read the bound N, so a guard anywhere
 		// may have changed, not only near the touched set.
-		for v := 0; v < n; v++ {
-			buf = append(buf, graph.NodeID(v))
+		for v := range graph.NodeID(p.g.N()) {
+			buf = append(buf, v)
 		}
 		return buf
 	}
@@ -641,14 +573,12 @@ func (p *Protocol) TopologyChanged(d graph.Delta, buf []graph.NodeID) []graph.No
 	return buf
 }
 
-// Snapshot implements program.Snapshotter: the wrapped stack's
-// snapshot followed by the wrapper's per-node variables. Telemetry
-// (flap counts, the authority version) is not state and is excluded,
-// keeping lockstep snapshot comparisons meaningful across systems
-// with different rebuild histories.
-func (p *Protocol) Snapshot() []byte {
-	w := program.NewSnapshotWriter(16 + 8*p.g.N())
-	w.Layer(p.inSnap)
+// OwnSnapshot implements program.LayerOwn: the wrapper's per-node
+// variables after the wrapped stack's snapshot. Telemetry (flap
+// counts, the authority version) is not state and is excluded, keeping
+// lockstep snapshot comparisons meaningful across systems with
+// different rebuild histories.
+func (p *Protocol) OwnSnapshot(w program.SnapshotWriter) program.SnapshotWriter {
 	for v := 0; v < p.g.N(); v++ {
 		w.Int(p.dist[v])
 		w.Uint(p.epoch[v])
@@ -657,14 +587,12 @@ func (p *Protocol) Snapshot() []byte {
 		w.Int(int(p.lprio[v]))
 		w.Int(p.ldeg[v])
 	}
-	return w.Bytes()
+	return w
 }
 
-// Restore implements program.Snapshotter. Restored state may hold any
-// verdict pattern, so the authority version bumps unconditionally.
-func (p *Protocol) Restore(data []byte) error {
-	r := program.NewSnapshotReader(data)
-	r.Layer(p.inSnap)
+// OwnRestore implements program.LayerOwn. Restored state may hold any
+// verdict pattern, so a successful restore bumps the authority version.
+func (p *Protocol) OwnRestore(r program.SnapshotReader) program.SnapshotReader {
 	for v := 0; v < p.g.N(); v++ {
 		p.dist[v] = r.Int()
 		p.epoch[v] = r.Uint()
@@ -673,21 +601,17 @@ func (p *Protocol) Restore(data []byte) error {
 		p.lprio[v] = int64(r.Int())
 		p.ldeg[v] = r.Int()
 	}
-	if err := r.Err(); err != nil {
-		return err
+	if r.Err() == nil {
+		p.rootsVer++
+		p.InvalidateWitness()
 	}
-	p.rootsVer++
-	p.wit.Invalidate()
-	return nil
+	return r
 }
 
-// CorruptNode implements program.NodeCorruptor: v's wrapper variables
-// take arbitrary values of their domains (dist, ldist ∈ 0..N; lid,
-// epoch over the id/epoch spaces) on top of the stack's corruption.
-func (p *Protocol) CorruptNode(v graph.NodeID, rng *rand.Rand) {
-	if p.inCorrupt != nil {
-		p.inCorrupt.CorruptNode(v, rng)
-	}
+// OwnCorrupt implements program.LayerOwn: v's wrapper variables take
+// arbitrary values of their domains (dist, ldist ∈ 0..N; lid, epoch
+// over the id/epoch spaces) on top of the stack's corruption.
+func (p *Protocol) OwnCorrupt(v graph.NodeID, rng *rand.Rand) {
 	pre := p.IsRoot(v)
 	p.dist[v] = rng.Intn(p.cap() + 1)
 	p.epoch[v] = uint64(rng.Intn(4))
@@ -703,24 +627,14 @@ func (p *Protocol) CorruptNode(v graph.NodeID, rng *rand.Rand) {
 	p.noteFlip(v, pre)
 }
 
-// Randomize implements program.Randomizer.
-func (p *Protocol) Randomize(rng *rand.Rand) {
-	for v := 0; v < p.g.N(); v++ {
-		p.CorruptNode(graph.NodeID(v), rng)
-	}
-}
-
-// StateBits implements program.SpaceMeter: two bounded counters, an
+// OwnStateBits implements program.LayerOwn: two bounded counters, an
 // id, and an epoch word per node on top of the stack.
-func (p *Protocol) StateBits(v graph.NodeID) int {
+func (p *Protocol) OwnStateBits(_ graph.NodeID) int {
 	bits := 2*program.Log2Ceil(p.cap()+1) + program.Log2Ceil(p.g.N()) + 64
 	if p.weighted {
 		// Advertised candidate key: a priority word plus a degree
 		// counter bounded by N.
 		bits += 64 + program.Log2Ceil(p.cap()+1)
-	}
-	if m, ok := p.in.(program.SpaceMeter); ok {
-		bits += m.StateBits(v)
 	}
 	return bits
 }

@@ -92,8 +92,8 @@ func TestFailoverStartsLegitimate(t *testing.T) {
 			if !p.DetectionAccurate() {
 				t.Fatal("fresh detection disagrees with component truth")
 			}
-			if p.ActingLegitimate() != startsLegit[sname] {
-				t.Fatalf("fresh ActingLegitimate = %v, want %v", p.ActingLegitimate(), startsLegit[sname])
+			if p.Legitimate() != startsLegit[sname] {
+				t.Fatalf("fresh Legitimate = %v, want %v", p.Legitimate(), startsLegit[sname])
 			}
 			sys := program.NewSystem(p, daemon.NewCentral(3))
 			res, err := sys.RunUntilLegitimate(40000)

@@ -38,14 +38,14 @@ func TestWeightElectionPreservesLegitimacy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.ActingLegitimate() {
+	if !p.Legitimate() {
 		t.Fatal("token stack should construct legitimate")
 	}
 	p.WeightElection(map[graph.NodeID]int64{3: 9})
 	if !p.Weighted() || p.Priority(3) != 9 {
 		t.Fatal("WeightElection did not record the mode or the pin")
 	}
-	if !p.ActingLegitimate() {
+	if !p.Legitimate() {
 		t.Fatal("weighted re-stabilization lost legitimacy")
 	}
 	if roots := p.ActingRoots(); len(roots) != 1 || roots[0] != 0 {

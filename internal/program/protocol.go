@@ -146,8 +146,9 @@ func ProtocolRadius(p Protocol) int {
 //     topology events cheaper than a whole-system Invalidate is the
 //     point.
 //
-// Layered protocols forward the call to their substrate first and
-// merge the balls. Protocols without the interface can still run on a
+// A Layer grows the layer's own arrays, runs the inner stack's hook,
+// then the layer's own repair, so the ball lists the inner ball first.
+// Protocols without the interface can still run on a
 // mutated graph via System.Invalidate, at Θ(n) per event.
 type TopologyAware interface {
 	TopologyChanged(d graph.Delta, buf []graph.NodeID) []graph.NodeID
@@ -256,8 +257,10 @@ type RootAuthority interface {
 // binding one) anchors the protocol at its fixed root alone: the
 // degenerate authority whose only root is the live fixed root (see
 // Roots), so binding that authority explicitly changes no move and no
-// verdict. Layered protocols forward the binding to their substrates
-// so the whole stack re-anchors coherently.
+// verdict. A rooted layer (DFTNO, STNO) binds its substrate in its
+// own BindRootAuthority, so the whole stack re-anchors coherently;
+// Layer does not compose the binding, because the failover wrapper
+// embeds one too and is the authority, not Rootable.
 type Rootable interface {
 	BindRootAuthority(a RootAuthority)
 }

@@ -38,9 +38,9 @@ import (
 //     guard cache (System.Invalidate disarms the witness; the next
 //     RunUntilLegitimate re-arms it with a fresh reset).
 //
-// Layered protocols compose witnesses: an orientation layer refreshes
-// its own contribution and forwards the refresh to its substrate's
-// witness, and conjoins the substrate's O(1) verdict with its own.
+// Layered protocols compose witnesses through Layer: a layer
+// refreshes the inner stack's witness and then its own counter, and
+// conjoins the inner O(1) verdict with its own.
 //
 // CheckWitness audits the equality empirically; the differential and
 // model-checking suites pin Legitimate() itself.

@@ -184,9 +184,6 @@ func (t *BFSTree) Execute(v graph.NodeID, a program.ActionID) bool {
 // ActionName implements program.ActionNamer.
 func (t *BFSTree) ActionName(a program.ActionID) string { return "FixDist" }
 
-// Stable implements Substrate.
-func (t *BFSTree) Stable() bool { return t.Legitimate() }
-
 // Legitimate implements program.Legitimacy: every live node holds the
 // true BFS distance and the first minimal neighbour as parent (see
 // bfsViolates). On a disconnected graph the true distance of a node

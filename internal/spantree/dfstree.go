@@ -248,9 +248,6 @@ func (t *DFSTree) Influence(v graph.NodeID, _ program.ActionID, buf []graph.Node
 // callers must not modify it.
 func (t *DFSTree) Path(v graph.NodeID) []int { return t.path[v] }
 
-// Stable implements Substrate.
-func (t *DFSTree) Stable() bool { return t.Legitimate() }
-
 // Legitimate implements program.Legitimacy: every live node holds the
 // true minimal path from its component's root (see dfsViolates).
 func (t *DFSTree) Legitimate() bool {

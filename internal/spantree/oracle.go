@@ -72,9 +72,6 @@ func (o *Oracle) Root() graph.NodeID { return o.root }
 // Parent implements Substrate.
 func (o *Oracle) Parent(v graph.NodeID) graph.NodeID { return o.par[v] }
 
-// Stable implements Substrate.
-func (o *Oracle) Stable() bool { return true }
-
 // ParentLocality implements Substrate: the tree is fixed, so Parent
 // reads no mutable state at all.
 func (o *Oracle) ParentLocality() int { return 0 }

@@ -18,8 +18,9 @@ package spantree
 import "netorient/internal/graph"
 
 // Substrate is the read interface the orientation layer needs from a
-// spanning-tree protocol: the parent pointer A_p of every node (§2.1.1)
-// and the substrate's own legitimacy, used in L_ST ∧ SP1 ∧ SP2.
+// spanning-tree protocol: the parent pointer A_p of every node
+// (§2.1.1). The tree's legitimacy L_ST, conjoined in L_ST ∧ SP1 ∧ SP2,
+// is its program.Legitimacy.
 type Substrate interface {
 	// Root returns the distinguished root processor r.
 	Root() graph.NodeID
@@ -27,8 +28,6 @@ type Substrate interface {
 	// the root or an unset pointer). Orientation-layer guards read
 	// this on every evaluation, so it must be cheap.
 	Parent(v graph.NodeID) graph.NodeID
-	// Stable reports the substrate's legitimacy predicate L_ST.
-	Stable() bool
 	// ParentLocality returns the radius of the ball around v that
 	// Parent(v) reads: 0 when Parent(v) is a function of v's own
 	// variables only (BFSTree's explicit pointer, Oracle's fixed
